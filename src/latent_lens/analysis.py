@@ -212,15 +212,18 @@ def activation_counts(
 
 def compare_real_vs_random(
     params: Params,
-    real_corpus,
+    real: LatentMatrix,
     random_corpus,
     partition: NeuronPartition,
     threshold: float = DEFAULT_ACTIVATION_THRESHOLD,
     top_dims: int = 4,
     hist_bins: int = 40,
 ) -> ComparisonReport:
-    """Per-neuron mu histograms and activation counts for the two corpora."""
-    real = encode_corpus(params, real_corpus)
+    """Per-neuron mu histograms and activation counts for the two corpora.
+
+    ``real`` is the already-encoded real corpus; only the random corpus is
+    encoded here.
+    """
     rand = encode_corpus(params, random_corpus)
     dims = partition.order[:top_dims]
     edges = []

@@ -203,7 +203,11 @@ def cmd_ingest(args) -> int:
         if isinstance(result, Exception):
             log.warning("skipping %s: %s", path, result)
             continue
-        melodies = midi.extract_melodies(result, cfg)
+        try:
+            melodies = midi.extract_melodies(result, cfg)
+        except melody.InvalidMelody as err:
+            log.warning("skipping %s: %s", path, err)
+            continue
         log.info("%s: %d melodies", path, len(melodies))
         entries.extend(melody.melodies_to_entries(melodies))
         n_ok += 1
@@ -372,7 +376,10 @@ def cmd_analyze(args) -> int:
         manifest.add_output(str(out_dir / name))
 
     lm = analysis.encode_corpus(params, [seq for seq, _ in kept])
-    partition = analysis.partition_neurons(lm, args.sigma_threshold)
+    try:
+        partition = analysis.partition_neurons(lm, args.sigma_threshold)
+    except ValueError as err:
+        raise CliInputError(f"corpus {args.corpus} has {lm.n} usable melodies: {err}")
     watch.lap("encode")
 
     order = partition.order
@@ -447,8 +454,7 @@ def cmd_analyze(args) -> int:
         if not rand_seqs:
             raise CliInputError("no random-corpus sequence matches the checkpoint")
         comp = analysis.compare_real_vs_random(
-            params, [seq for seq, _ in kept], rand_seqs, partition,
-            args.activation_threshold,
+            params, lm, rand_seqs, partition, args.activation_threshold
         )
         series = [
             ("music_corpus", comp.real_activation.music_counts),

@@ -138,6 +138,8 @@ def _parse_track(data: bytes, start: int, end: int) -> list[MidiEvent]:
                 break
             if meta_type == 0x51 and length == 3:
                 us = (payload[0] << 16) | (payload[1] << 8) | payload[2]
+                if us == 0:
+                    raise MidiParseError("zero tempo", body)
                 events.append(MidiEvent(tick, TempoChange(us)))
             elif meta_type == 0x58 and length >= 2:
                 events.append(
@@ -164,6 +166,9 @@ def _parse_track(data: bytes, start: int, end: int) -> list[MidiEvent]:
             if nbytes is None:
                 raise MidiParseError(f"unsupported status byte 0x{status:02x}", pos)
             _require(data, pos, nbytes, "channel event data")
+            for k in range(pos, pos + nbytes):
+                if data[k] & 0x80:
+                    raise MidiParseError(f"channel data byte 0x{data[k]:02x} >= 0x80", k)
             d1 = data[pos]
             d2 = data[pos + 1] if nbytes == 2 else 0
             pos += nbytes

@@ -1,12 +1,19 @@
 """Shared fixtures: melody builders and the expensive desk-scale training runs.
 
 The trained-model fixtures are session-scoped and only built when a test asks
-for them, so the fast unit-test files stay fast.
+for them, so the fast unit-test files stay fast.  Tests marked ``heavy`` run
+after all the others, so a run cut short has still reported every fast test.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import multiprocessing.connection
+import os
+import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -56,36 +63,87 @@ def desk_runtime():
     return {}
 
 
-@pytest.fixture(scope="session")
-def desk_model(musical_seqs_2bar, desk_runtime):
-    """The reference desk-scale run: 2,000 synthetic melodies, d=32, seed 0."""
-    mcfg = vae.ModelConfig(latent_dim=32)
-    params0 = vae.init_params(mcfg, DESK_TRAIN_SEED)
-    tcfg = vae.TrainConfig(epochs=DESK_EPOCHS, seed=DESK_TRAIN_SEED)
+# name -> (bars, melodies, ModelConfig options, TrainConfig options)
+DESK_RUNS = {
+    # the reference desk-scale run: 2,000 synthetic melodies, d=32, seed 0
+    "desk_model": (2, 2000, {"latent_dim": 32}, {"epochs": DESK_EPOCHS}),
+    # ablation twin of desk_model with the KL weight turned off
+    "desk_model_beta0": (
+        2, 2000, {"latent_dim": 32}, {"epochs": DESK_EPOCHS, "beta_max": 0.0}
+    ),
+    # 16-bar pipeline: 500 synthetic melodies, d=64, seq_len 256
+    "desk_model_16bar": (
+        16, 500, {"latent_dim": 64, "seq_len": 256}, {"epochs": DESK_16BAR_EPOCHS}
+    ),
+}
+
+
+def pytest_collection_modifyitems(items):
+    items.sort(key=lambda item: item.get_closest_marker("heavy") is not None)
+
+
+def _exit_with_parent() -> None:
+    """Worker initializer: stop training if the test session dies first."""
+    parent = multiprocessing.parent_process()
+
+    def watch() -> None:
+        multiprocessing.connection.wait([parent.sentinel])
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+def _train_desk_run(name: str):
+    """Train one entry of DESK_RUNS: (params, history, seqs, train seconds)."""
+    bars, n, model_options, train_options = DESK_RUNS[name]
+    cfg = corpus.SyntheticConfig(seed=DESK_CORPUS_SEED, bars=bars)
+    seqs = [melody.tokenize(m) for m in corpus.gen_musical_corpus(cfg, n)]
+    params0 = vae.init_params(vae.ModelConfig(**model_options), DESK_TRAIN_SEED)
+    tcfg = vae.TrainConfig(seed=DESK_TRAIN_SEED, **train_options)
     t0 = time.perf_counter()
-    params, history = vae.train(params0, musical_seqs_2bar, tcfg)
-    desk_runtime["desk_model"] = time.perf_counter() - t0
-    return params, history
-
-
-@pytest.fixture(scope="session")
-def desk_model_beta0(musical_seqs_2bar):
-    """Ablation twin of desk_model with the KL weight turned off."""
-    mcfg = vae.ModelConfig(latent_dim=32)
-    params0 = vae.init_params(mcfg, DESK_TRAIN_SEED)
-    tcfg = vae.TrainConfig(epochs=DESK_EPOCHS, seed=DESK_TRAIN_SEED, beta_max=0.0)
-    params, history = vae.train(params0, musical_seqs_2bar, tcfg)
-    return params, history
-
-
-@pytest.fixture(scope="session")
-def desk_model_16bar():
-    """16-bar pipeline: 500 synthetic melodies, d=64, seq_len 256."""
-    cfg = corpus.SyntheticConfig(seed=DESK_CORPUS_SEED, bars=16)
-    mels = corpus.gen_musical_corpus(cfg, 500)
-    seqs = [melody.tokenize(m) for m in mels]
-    mcfg = vae.ModelConfig(latent_dim=64, seq_len=256)
-    params0 = vae.init_params(mcfg, DESK_TRAIN_SEED)
-    tcfg = vae.TrainConfig(epochs=DESK_16BAR_EPOCHS, seed=DESK_TRAIN_SEED)
     params, history = vae.train(params0, seqs, tcfg)
+    return params, history, seqs, time.perf_counter() - t0
+
+
+@pytest.fixture(scope="session")
+def desk_runs(request):
+    """Futures of every desk run that a selected test needs.
+
+    The runs are independent, so they train side by side, one worker process
+    each, with one BLAS thread per worker.  On a 2-core machine one training
+    step takes ~70 ms with OpenBLAS's two threads and ~75 ms with one, but
+    two two-threaded processes side by side take ~330 ms a step each.
+    """
+    names = [
+        name for name in DESK_RUNS
+        if any(name in item.fixturenames for item in request.session.items)
+    ]
+    one_thread = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    with mock.patch.dict(os.environ, one_thread):
+        pool = ProcessPoolExecutor(
+            len(names),
+            mp_context=multiprocessing.get_context("spawn"),
+            initializer=_exit_with_parent,
+        )
+        futures = {name: pool.submit(_train_desk_run, name) for name in names}
+    yield futures
+    pool.shutdown(cancel_futures=True)
+
+
+@pytest.fixture(scope="session")
+def desk_model(desk_runs, desk_runtime):
+    params, history, _, seconds = desk_runs["desk_model"].result()
+    desk_runtime["desk_model"] = seconds
+    return params, history
+
+
+@pytest.fixture(scope="session")
+def desk_model_beta0(desk_runs):
+    params, history, _, _ = desk_runs["desk_model_beta0"].result()
+    return params, history
+
+
+@pytest.fixture(scope="session")
+def desk_model_16bar(desk_runs):
+    params, history, seqs, _ = desk_runs["desk_model_16bar"].result()
     return params, history, seqs

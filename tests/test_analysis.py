@@ -199,7 +199,7 @@ def test_compare_identical_corpora_identical_histograms():
     seqs = [random_seq(rng) for _ in range(15)]
     lm = encode_corpus(p, seqs)
     part = partition_neurons(lm)
-    comp = compare_real_vs_random(p, seqs, seqs, part)
+    comp = compare_real_vs_random(p, lm, seqs, part)
     for a, b in zip(comp.real_mu_hists, comp.random_mu_hists):
         assert np.array_equal(a, b)
     assert np.array_equal(

@@ -73,6 +73,39 @@ def test_ingest_fixture_dir(tmp_path):
     assert out.read_bytes() == first
 
 
+def test_ingest_skips_corrupt_data_byte(tmp_path):
+    mididir = tmp_path / "mid"
+    mididir.mkdir()
+    (mididir / "scale.mid").write_bytes(scale_file())
+    bad = bytearray(scale_file())
+    bad[bad.index(0x90) + 1] = 200  # pitch byte with the high bit set
+    (mididir / "corrupt.mid").write_bytes(bytes(bad))
+    out = tmp_path / "corpus.jsonl"
+    assert run("ingest", str(mididir), str(out)) == 0
+    assert len(load_corpus(out)) == 2  # the clean scale's two windows
+
+
+def test_ingest_skips_file_whose_extraction_fails(tmp_path, monkeypatch):
+    mididir = tmp_path / "mid"
+    mididir.mkdir()
+    (mididir / "a.mid").write_bytes(scale_file())
+    (mididir / "b.mid").write_bytes(scale_file())
+    real_extract = midi.extract_melodies
+    calls = []
+
+    def flaky_extract(parsed, cfg):
+        calls.append(parsed)
+        if len(calls) == 1:
+            raise melody.InvalidMelody("bad window")
+        return real_extract(parsed, cfg)
+
+    monkeypatch.setattr(midi, "extract_melodies", flaky_extract)
+    out = tmp_path / "corpus.jsonl"
+    assert run("ingest", str(mididir), str(out)) == 0
+    assert len(calls) == 2
+    assert len(load_corpus(out)) == 2  # only b.mid's windows
+
+
 def test_ingest_empty_dir(tmp_path):
     empty = tmp_path / "none"
     empty.mkdir()
@@ -161,6 +194,14 @@ def test_analyze_requires_compatible_checkpoint(tiny_run, tmp_path):
     bad.write_bytes(b"garbage")
     assert run("analyze", "--checkpoint", str(bad), "--corpus", str(corpus_path),
                "--out-dir", str(tmp_path / "r")) == 1
+
+
+def test_analyze_too_small_corpus_is_input_error(tiny_run, tmp_path):
+    _, corpus_path, _, train_dir, _ = tiny_run
+    small = tmp_path / "small.jsonl"
+    small.write_text("".join(corpus_path.read_text().splitlines(keepends=True)[:5]))
+    assert run("analyze", "--checkpoint", str(train_dir / "checkpoint.npz"),
+               "--corpus", str(small), "--out-dir", str(tmp_path / "r")) == 1
 
 
 def test_roundtrip_outputs(tiny_run, tmp_path):

@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latent_lens import midi
 from latent_lens.melody import Melody, NoteSpan
@@ -225,3 +227,55 @@ def test_write_parse_extract_roundtrip_random():
         back = extract_melodies(parse_midi(write_midi(mel)), cfg)
         assert len(back) == 1
         assert back[0].spans == mel.spans
+
+
+# ---------------------------------------------------------------- robustness
+
+def _mutated_scale(edits) -> bytes:
+    data = bytearray(scale_file())
+    for where, value in edits:
+        data[where % len(data)] = value
+    return bytes(data)
+
+
+_byte = st.integers(0, 255)
+_event = st.one_of(
+    st.tuples(_byte, _byte).map(lambda d: bytes([0x00, 0x90, *d])),
+    st.tuples(_byte, _byte).map(lambda d: bytes([0x83, 0x60, 0x80, *d])),
+    st.tuples(_byte, _byte, _byte).map(lambda d: bytes([0x00, 0xFF, 0x51, 0x03, *d])),
+    st.tuples(_byte, _byte).map(lambda d: bytes([0x00, 0xFF, 0x58, 0x04, *d, 0x18, 0x08])),
+    st.binary(max_size=4),
+)
+_smf_like = st.one_of(
+    st.binary(max_size=200),
+    st.lists(_event, max_size=12).map(lambda events: mthd() + mtrk(b"".join(events))),
+    st.lists(st.tuples(st.integers(0, 10_000), _byte), max_size=4).map(_mutated_scale),
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_smf_like)
+def test_any_bytes_raise_only_parse_errors(data):
+    try:
+        parsed = parse_midi(data)
+    except MidiParseError:
+        return
+    for cfg in (ExtractionConfig(), ExtractionConfig(bars=16, require_four_four=False)):
+        extract_melodies(parsed, cfg)
+
+
+def test_data_byte_with_high_bit_rejected_at_its_offset():
+    mel = Melody((NoteSpan(60, 0, 4), NoteSpan(64, 4, 4), NoteSpan(67, 8, 8)), 2, 120.0)
+    data = bytearray(write_midi(mel))
+    at = data.index(0x90) + 1
+    data[at] = 200
+    with pytest.raises(MidiParseError) as exc:
+        parse_midi(bytes(data))
+    assert exc.value.offset == at
+
+
+def test_zero_tempo_rejected():
+    body = bytes([0x00, 0xFF, 0x51, 0x03, 0, 0, 0]) + FOUR_FOUR
+    with pytest.raises(MidiParseError) as exc:
+        parse_midi(mthd() + mtrk(body))
+    assert exc.value.offset == len(mthd()) + 8 + 4  # the tempo payload

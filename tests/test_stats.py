@@ -1,7 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import ndtr, owens_t
 
 from latent_lens.stats import (
     BoxplotSummary,
@@ -152,10 +158,78 @@ def test_bvn_chi2_monotone_in_rho():
 
     p = np.diff(ndtr(edges))
     values = [
-        _bvn_chi2(r, 1000.0, p, p, edges, edges, 1e-7)
+        _bvn_chi2(r, 1000.0, p, p, edges, edges)
         for r in np.linspace(0.0, 0.95, 12)
     ]
     assert all(b > a for a, b in zip(values, values[1:]))
+
+
+def _owens_t_cdf(h: float, k: float, rho: float) -> float:
+    """Exact P(X < h, Y < k) for a standard bivariate normal, via Owen's T."""
+    if h == -np.inf or k == -np.inf:
+        return 0.0
+    if h == np.inf:
+        return float(ndtr(k))
+    if k == np.inf:
+        return float(ndtr(h))
+    s = math.sqrt(1.0 - rho * rho)
+    beta = 0.0 if h * k > 0 or (h * k == 0 and h + k >= 0) else 0.5
+    return float(
+        0.5 * ndtr(h) + 0.5 * ndtr(k)
+        - owens_t(h, (k - rho * h) / (h * s))
+        - owens_t(k, (h - rho * k) / (k * s))
+        - beta
+    )
+
+
+def _owens_t_cells(rho: float, row_edges, col_edges) -> np.ndarray:
+    cdf = np.array([[_owens_t_cdf(h, k, rho) for k in col_edges] for h in row_edges])
+    return cdf[1:, 1:] - cdf[:-1, 1:] - cdf[1:, :-1] + cdf[:-1, :-1]
+
+
+@pytest.mark.parametrize("rho", [-0.9999, -0.99, 0.0, 0.5, 0.9, 0.99, 0.9999])
+def test_bvn_matches_owens_t_reference(rho):
+    rng = np.random.default_rng(int(1e4 * (rho + 1)))
+    for _ in range(20):
+        k_rows, k_cols = rng.integers(1, 10, size=2)
+        inner_rows = np.sort(rng.normal(0.0, 2.0, k_rows))
+        inner_cols = np.sort(rng.normal(0.0, 2.0, k_cols))
+        row_edges = np.concatenate(([-np.inf], inner_rows, [np.inf]))
+        col_edges = np.concatenate(([-np.inf], inner_cols, [np.inf]))
+        probs = bvn_cell_probs(rho, row_edges, col_edges)
+        ref = _owens_t_cells(rho, row_edges, col_edges)
+        assert np.max(np.abs(probs - ref)) < 1e-6
+
+
+_inner_edges = st.lists(
+    st.floats(-8.0, 8.0, allow_nan=False), min_size=1, max_size=9, unique=True
+).map(lambda v: np.concatenate(([-np.inf], np.sort(v), [np.inf])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rho=st.floats(-0.9999, 0.9999, allow_nan=False),
+    row_edges=_inner_edges,
+    col_edges=_inner_edges,
+)
+def test_bvn_cells_nonnegative_with_normal_margins(rho, row_edges, col_edges):
+    probs = bvn_cell_probs(rho, row_edges, col_edges)
+    assert probs.min() >= -1e-12
+    assert np.max(np.abs(probs.sum(axis=1) - np.diff(ndtr(row_edges)))) <= 1e-12
+    assert np.max(np.abs(probs.sum(axis=0) - np.diff(ndtr(col_edges)))) <= 1e-12
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    import latent_lens
+
+    src = os.path.dirname(os.path.dirname(latent_lens.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    code = "import sys, latent_lens; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------- phik
