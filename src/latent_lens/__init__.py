@@ -36,7 +36,6 @@ from .stats import (
     bvn_cell_probs,
     chi2,
     contingency,
-    histogram,
     lowess,
     pearson,
     phik,

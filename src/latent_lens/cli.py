@@ -385,21 +385,17 @@ def cmd_analyze(args) -> int:
     order = partition.order
     dim_labels = [f"dim{d}" for d in order]
     sigma_stats, mu_stats = analysis.central_value_stats(lm, partition)
-    rows = [
-        (label, s.q1, s.median, s.q3, s.lower_whisker, s.upper_whisker, s.outlier_count)
-        for label, s in zip(dim_labels, sigma_stats)
-    ]
     header = ["dim", "q1", "median", "q3", "lower_whisker", "upper_whisker", "outliers"]
-    emit("sigma_boxplot.csv", report.csv_text(header, rows))
-    emit("sigma_boxplot.svg", svg.render_boxplots(
-        sigma_stats, "Posterior sigma by latent dim (ascending median)", "sigma"))
-    rows = [
-        (label, s.q1, s.median, s.q3, s.lower_whisker, s.upper_whisker, s.outlier_count)
-        for label, s in zip(dim_labels, mu_stats)
-    ]
-    emit("mu_boxplot.csv", report.csv_text(header, rows))
-    emit("mu_boxplot.svg", svg.render_boxplots(
-        mu_stats, "Posterior mu by latent dim (sigma order)", "mu"))
+    for name, summaries, title in (
+        ("sigma", sigma_stats, "Posterior sigma by latent dim (ascending median)"),
+        ("mu", mu_stats, "Posterior mu by latent dim (sigma order)"),
+    ):
+        rows = [
+            (label, s.q1, s.median, s.q3, s.lower_whisker, s.upper_whisker, s.outlier_count)
+            for label, s in zip(dim_labels, summaries)
+        ]
+        emit(f"{name}_boxplot.csv", report.csv_text(header, rows))
+        emit(f"{name}_boxplot.svg", svg.render_boxplots(summaries, title, name))
 
     pearson_m = analysis.mu_pearson_matrix(lm)
     d_prime = pearson_m.shape[0]

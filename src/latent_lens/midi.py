@@ -190,6 +190,7 @@ def parse_midi(data: bytes) -> MidiFile:
     header_len = struct.unpack(">I", data[4:8])[0]
     if header_len < 6:
         raise MidiParseError(f"header length {header_len} too short", 4)
+    _require(data, 8, header_len, "header chunk")
     fmt, ntracks, division = struct.unpack(">HHH", data[8:14])
     if fmt == 2:
         raise MidiParseError("format 2 files are not supported", 8)

@@ -1,7 +1,8 @@
 """CSV export and run manifests.  CSV files are the source of truth for all
 figures; SVGs are derived views.  Every command writes a manifest recording
 the tool version, the config snapshot, content hashes of its inputs, the
-output file list, and wall-clock timings, so results can be regenerated."""
+output file list, wall-clock timings and the process's peak resident memory,
+so results can be regenerated."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -78,6 +80,7 @@ class RunManifest:
         self.outputs.append(str(path))
 
     def write(self, path: str | Path) -> None:
+        peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
         payload = {
             "tool_version": self.tool_version,
             "command": self.command,
@@ -85,6 +88,7 @@ class RunManifest:
             "input_hashes": self.input_hashes,
             "outputs": sorted(self.outputs),
             "timings_s": self.timings_s,
+            "peak_rss_mb": round(peak_kib / 1024.0, 1),
         }
         write_text_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 

@@ -3,7 +3,7 @@
 Provides Pearson correlation, binned contingency tables with Pearson
 chi-square, a nonlinear correlation coefficient in [0, 1] obtained by
 inverting the observed chi-square through a binned bivariate normal
-(the ``phik`` approach), robust LOWESS smoothing, and boxplot/histogram
+(the ``phik`` approach), robust LOWESS smoothing, and the boxplot
 summaries used by the reporting layer.
 
 The phik method follows Baak et al. 2020 (arXiv:1811.11440).  Its binned
@@ -276,10 +276,12 @@ def lowess(x, y, frac: float = 0.3, iters: int = 2) -> np.ndarray:
     if not 0.0 < frac <= 1.0:
         raise ValueError("frac must lie in (0, 1]")
     r = min(n - 1, max(2, int(math.ceil(frac * n))))
-    dist = np.abs(x[:, None] - x[None, :])
-    h = np.maximum(np.sort(dist, axis=1)[:, r], 1e-12)
-    w = np.clip(dist / h[:, None], 0.0, 1.0)
-    w = (1.0 - w**3) ** 3  # w[i, j]: weight of data point j for fit point i
+    # one name for every (n, n) stage, so each is freed as the next is made
+    w = np.abs(x[:, None] - x[None, :])
+    h = np.maximum(np.partition(w, r, axis=1)[:, r], 1e-12)
+    w = np.clip(w / h[:, None], 0.0, 1.0)
+    w = 1.0 - w * w * w
+    w = w * w * w  # w[i, j]: weight of data point j for fit point i
 
     xx = x * x
     delta = np.ones(n)
@@ -326,14 +328,3 @@ def boxplot_summary(values) -> BoxplotSummary:
         upper_whisker=float(inside.max()),
         outlier_count=int(v.size - inside.size),
     )
-
-
-def histogram(values, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
-    """Counts over [min, max] with right-open bins (last bin closed)."""
-    v = np.asarray(values, dtype=float)
-    if v.size == 0:
-        raise ValueError("need at least one value")
-    if n_bins < 1:
-        raise ValueError("n_bins must be >= 1")
-    counts, edges = np.histogram(v, bins=n_bins)
-    return counts, edges

@@ -18,6 +18,10 @@ applied to the hidden state before the candidate projection:
     u = sigmoid(Wu x + Uu h + bu)
     c = tanh(Wc x + Uc (r * h) + bc)
     h' = u * h + (1 - u) * c
+
+``_gru_step`` holds these equations for training, encoding and decoding.
+Inference encoding is a cache-free scan over gate inputs gathered from a
+table of the batch's distinct tokens, bit-identical to the training pass.
 """
 
 from __future__ import annotations
@@ -203,8 +207,26 @@ def init_params(cfg: ModelConfig, seed: int) -> Params:
     return Params(cfg, **arrays)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 0.5 * np.tanh(0.5 * x) + 0.5
+def _gru_step(g_t: np.ndarray, h: np.ndarray, wh: np.ndarray):
+    """One step of the cell, the only place its equations are written.
+
+    g_t: (..., 3H) input contribution (x @ Wx + b) and wh: (H, 3H) recurrent
+    weights, gate order [r | u | c].  Returns (h', ru, c, r * h).  Each gate
+    is finished in place in the array its matrix product returns.
+    """
+    h_dim = h.shape[-1]
+    ru = h @ wh[:, : 2 * h_dim]
+    ru += g_t[..., : 2 * h_dim]
+    ru *= 0.5  # sigmoid(a) = 0.5 * tanh(0.5 * a) + 0.5
+    np.tanh(ru, out=ru)
+    ru *= 0.5
+    ru += 0.5
+    r, u = ru[..., :h_dim], ru[..., h_dim:]
+    s = r * h
+    c = s @ wh[:, 2 * h_dim :]
+    c += g_t[..., 2 * h_dim :]
+    np.tanh(c, out=c)
+    return u * h + (1.0 - u) * c, ru, c, s
 
 
 def _gru_forward(g: np.ndarray, wh: np.ndarray, h0: np.ndarray):
@@ -215,23 +237,13 @@ def _gru_forward(g: np.ndarray, wh: np.ndarray, h0: np.ndarray):
     """
     b, t_len, h3 = g.shape
     h_dim = h3 // 3
-    wh_ru = wh[:, : 2 * h_dim]
-    wh_c = wh[:, 2 * h_dim :]
     h = h0
     hs = np.empty((b, t_len, h_dim))
     ru_all = np.empty((b, t_len, 2 * h_dim))
     c_all = np.empty((b, t_len, h_dim))
     s_all = np.empty((b, t_len, h_dim))
     for t in range(t_len):
-        ru = _sigmoid(g[:, t, : 2 * h_dim] + h @ wh_ru)
-        r = ru[:, :h_dim]
-        u = ru[:, h_dim:]
-        s = r * h
-        c = np.tanh(g[:, t, 2 * h_dim :] + s @ wh_c)
-        ru_all[:, t] = ru
-        c_all[:, t] = c
-        s_all[:, t] = s
-        h = u * h + (1.0 - u) * c
+        h, ru_all[:, t], c_all[:, t], s_all[:, t] = _gru_step(g[:, t], h, wh)
         hs[:, t] = h
     return hs, (h0, ru_all, c_all, s_all)
 
@@ -309,9 +321,19 @@ def _encoder_forward(p: Params, tokens: np.ndarray):
 
 
 def encode_batch(p: Params, batch) -> tuple[np.ndarray, np.ndarray]:
-    """Encode many sequences at once; returns (mus, sigmas) as (n, d) arrays."""
+    """Encode many sequences at once; returns (mus, sigmas) as (n, d) arrays.
+
+    The training pass's exact result, from a scan that keeps only h."""
     tokens = _stack_batch(batch, p.config.seq_len)
-    mu, logvar = _encoder_forward(p, tokens)[-2:]
+    used, inv = np.unique(tokens, return_inverse=True)
+    inv = inv.reshape(tokens.shape)
+    # the spare row keeps a one-token table off gemv, whose sums round differently
+    table = p.embed[np.append(used, 0)] @ p.enc_wx + p.enc_b
+    h = np.zeros((tokens.shape[0], p.config.hidden_dim))
+    for t in range(tokens.shape[1]):
+        h = _gru_step(table[inv[:, t]], h, p.enc_wh)[0]
+    mu = h @ p.w_mu + p.b_mu
+    logvar = h @ p.w_logvar + p.b_logvar
     return mu, np.exp(0.5 * logvar)
 
 
@@ -347,19 +369,12 @@ def decode(
         raise ValueError(f"unknown decode mode {mode!r}")
     if mode == "sample" and rng is None:
         raise ValueError("sample mode requires an rng")
-    h_dim = cfg.hidden_dim
     h = np.tanh(z @ p.z_w + p.z_b)
-    wh_ru = p.dec_wh[:, : 2 * h_dim]
-    wh_c = p.dec_wh[:, 2 * h_dim :]
     gz = z @ p.dec_wz + p.dec_b
     x = np.zeros(cfg.embed_dim)
     tokens = []
     for t in range(cfg.seq_len):
-        g = x @ p.dec_wx + gz
-        ru = _sigmoid(g[: 2 * h_dim] + h @ wh_ru)
-        r, u = ru[:h_dim], ru[h_dim:]
-        c = np.tanh(g[2 * h_dim :] + (r * h) @ wh_c)
-        h = u * h + (1.0 - u) * c
+        h = _gru_step(x @ p.dec_wx + gz, h, p.dec_wh)[0]
         logits = h @ p.out_w + p.out_b
         if t == 0:
             logits = logits.copy()
@@ -622,13 +637,6 @@ def train(p: Params, corpus, cfg: TrainConfig) -> tuple[Params, list[EpochStats]
         )
         last_good = params.copy()
     return params, history
-
-
-def history_csv(history: list[EpochStats]) -> str:
-    lines = ["epoch,loss,recon_ce,kl"]
-    for row in history:
-        lines.append(f"{row.epoch},{row.loss:.10g},{row.recon_ce:.10g},{row.kl:.10g}")
-    return "\n".join(lines) + "\n"
 
 
 def save_checkpoint(p: Params, path) -> None:

@@ -164,6 +164,20 @@ def test_encode_corpus_matches_encode_and_skips():
     assert lm.ids[4] == 4
 
 
+def test_encode_corpus_independent_of_batch_size():
+    p = vae.init_params(SMALL, 5)
+    rng = np.random.default_rng(6)
+    seqs = [random_seq(rng) for _ in range(40)]
+    ref = encode_corpus(p, seqs, batch_size=256)
+    lm = encode_corpus(p, seqs, batch_size=7)
+    assert np.array_equal(lm.mus, ref.mus) and np.array_equal(lm.sigmas, ref.sigmas)
+    # numpy hands a one-row product to gemv, whose sums round differently
+    # from gemm's, so batches of one agree to rounding only
+    one = encode_corpus(p, seqs, batch_size=1)
+    assert np.allclose(one.mus, ref.mus, rtol=1e-13, atol=1e-15)
+    assert np.allclose(one.sigmas, ref.sigmas, rtol=1e-13, atol=1e-15)
+
+
 def test_neuron_feature_phik_shape_and_null():
     rng = np.random.default_rng(5)
     n, d = 400, 6

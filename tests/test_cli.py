@@ -188,6 +188,12 @@ def test_analyze_partition_json(tiny_run):
     assert len(payload["checkpoint_sha256"]) == 64
 
 
+def test_analyze_manifest_records_peak_rss(tiny_run):
+    _, _, _, _, out_dir = tiny_run
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["peak_rss_mb"] > 0
+
+
 def test_analyze_requires_compatible_checkpoint(tiny_run, tmp_path):
     _, corpus_path, _, train_dir, _ = tiny_run
     bad = tmp_path / "bad.npz"

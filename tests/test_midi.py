@@ -63,6 +63,15 @@ def test_truncated_header_reports_offset():
     assert exc.value.offset == 4
 
 
+def test_oversized_header_length_reports_header():
+    data = bytearray(mthd() + mtrk(bytes([0x00, 0x90, 60, 96, 0x83, 0x60, 0x80, 60, 0])))
+    data[4:8] = struct.pack(">I", 0xD1000000)
+    with pytest.raises(MidiParseError) as exc:
+        parse_midi(bytes(data))
+    assert "header chunk" in str(exc.value)
+    assert exc.value.offset <= len(data)
+
+
 def test_bad_magic():
     with pytest.raises(MidiParseError) as exc:
         parse_midi(b"RIFFxxxx")

@@ -18,7 +18,6 @@ from latent_lens.stats import (
     bvn_cell_probs,
     chi2,
     contingency,
-    histogram,
     lowess,
     pearson,
     phik,
@@ -346,17 +345,3 @@ def test_boxplot_outliers():
 def test_boxplot_constant():
     s = boxplot_summary([2.0, 2.0, 2.0])
     assert s.q1 == s.median == s.q3 == 2.0
-
-
-def test_histogram_unit_counts():
-    counts, edges = histogram(np.arange(10.0), 10)
-    assert np.array_equal(counts, np.ones(10, dtype=int))
-    assert counts.sum() == 10
-    assert edges[0] == 0.0 and edges[-1] == 9.0
-
-
-def test_histogram_sums_to_n():
-    rng = np.random.default_rng(12)
-    v = rng.standard_normal(1000)
-    counts, _ = histogram(v, 17)
-    assert counts.sum() == 1000

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from latent_lens import vae
-from latent_lens.melody import HOLD, REST, TokenSequence
+from latent_lens.melody import HOLD, REST, VOCAB_SIZE, TokenSequence
 from latent_lens.vae import (
     CheckpointError,
     LatentEncoding,
@@ -99,6 +101,32 @@ def test_encode_batch_matches_single():
         assert np.allclose(sigmas[i], enc.sigma)
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    cfg=st.sampled_from([SMALL, ModelConfig(latent_dim=4)]),
+    n=st.integers(1, 300),
+    n_used=st.integers(1, VOCAB_SIZE),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(cfg=SMALL, n=3, n_used=1, seed=0)  # one repeated token
+@example(cfg=ModelConfig(latent_dim=4), n=1, n_used=1, seed=1)
+@example(cfg=ModelConfig(latent_dim=4), n=5, n_used=VOCAB_SIZE, seed=2)  # every token
+def test_encode_batch_equals_training_encoder(cfg, n, n_used, seed):
+    """The cache-free inference scan gives exactly the training pass's output."""
+    rng = np.random.default_rng(seed)
+    p = init_params(cfg, seed % 5)
+    for name in ("enc_b", "b_mu", "b_logvar"):  # init leaves biases at zero
+        getattr(p, name)[...] = rng.normal(0.0, 0.5, getattr(p, name).shape)
+    used = rng.permutation(VOCAB_SIZE)[:n_used]
+    tokens = used[rng.integers(0, n_used, (n, 32))]
+    k = min(n_used, tokens.size)
+    tokens.flat[:k] = used[:k]  # each chosen token appears where the batch has room
+    mu, logvar = vae._encoder_forward(p, tokens)[-2:]
+    mus, sigmas = encode_batch(p, tokens)
+    assert np.array_equal(mus, mu)
+    assert np.array_equal(sigmas, np.exp(0.5 * logvar))
+
+
 # ---------------------------------------------------------------- sampling
 
 def test_sample_latent_zero_sigma_limit():
@@ -154,6 +182,47 @@ def test_decode_sample_seeded():
         decode(p, z, mode="sample")
     with pytest.raises(ShapeError):
         decode(p, np.zeros(7))
+
+
+def _reference_decode(p, z, rng=None):
+    """decode() written out with the cell equations inline: greedy without an
+    rng, else sampled at temperature 1."""
+    h_dim = p.config.hidden_dim
+    wh, gz = p.dec_wh, z @ p.dec_wz + p.dec_b
+    h = np.tanh(z @ p.z_w + p.z_b)
+    x = np.zeros(p.config.embed_dim)
+    tokens = []
+    for t in range(p.config.seq_len):
+        g = x @ p.dec_wx + gz
+        r = 1.0 / (1.0 + np.exp(-(g[:h_dim] + h @ wh[:, :h_dim])))
+        u = 1.0 / (1.0 + np.exp(-(g[h_dim : 2 * h_dim] + h @ wh[:, h_dim : 2 * h_dim])))
+        c = np.tanh(g[2 * h_dim :] + (r * h) @ wh[:, 2 * h_dim :])
+        h = u * h + (1.0 - u) * c
+        logits = h @ p.out_w + p.out_b
+        if t == 0:
+            logits[HOLD] = -np.inf
+        if rng is None:
+            tok = int(np.argmax(logits))
+        else:
+            probs = np.exp(logits - logits.max())
+            tok = int(rng.choice(VOCAB_SIZE, p=probs / probs.sum()))
+        tokens.append(tok)
+        x = p.embed[tok]
+    return tuple(tokens)
+
+
+@pytest.mark.parametrize("cfg", [SMALL, ModelConfig(latent_dim=4)])
+def test_decode_matches_reference_loop(cfg):
+    p = init_params(cfg, 6)
+    rng = np.random.default_rng(7)
+    for name in ("z_b", "dec_b", "out_b"):  # init leaves biases at zero
+        getattr(p, name)[...] = rng.normal(0.0, 0.5, getattr(p, name).shape)
+    for _ in range(5):
+        z = rng.standard_normal(cfg.latent_dim)
+        assert decode(p, z).tokens == _reference_decode(p, z)
+        seed = int(rng.integers(2**31))
+        got = decode(p, z, mode="sample", temperature=1.0, rng=np.random.default_rng(seed))
+        assert got.tokens == _reference_decode(p, z, np.random.default_rng(seed))
 
 
 # ---------------------------------------------------------------- loss
@@ -279,15 +348,6 @@ def test_training_does_not_mutate_input_params():
     train(p0, seqs, TrainConfig(epochs=1, batch=16, seed=0))
     for name, arr in p0.arrays().items():
         assert np.array_equal(arr, before[name])
-
-
-def test_history_csv_format():
-    seqs = tiny_corpus(32)
-    _, history = train(init_params(SMALL, 2), seqs, TrainConfig(epochs=2, batch=16, seed=0))
-    text = vae.history_csv(history)
-    lines = text.strip().splitlines()
-    assert lines[0] == "epoch,loss,recon_ce,kl"
-    assert len(lines) == 3
 
 
 # ---------------------------------------------------------------- checkpoints
