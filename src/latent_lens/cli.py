@@ -323,15 +323,12 @@ def cmd_train(args) -> int:
         input_dropout=args.input_dropout,
     )
     ckpt_path = out_dir / "checkpoint.npz"
+    manifest = report.RunManifest("train", vars(args))
     try:
         params, history = vae.train(params, seqs, tcfg)
     except vae.TrainingDiverged as err:
-        vae.save_checkpoint(err.params, ckpt_path)
-        report.write_text_atomic(
-            out_dir / "history.csv", _history_offset_csv(prior_rows, err.history, offset)
-        )
-        log.error("training diverged: %s (last good checkpoint kept)", err)
-        return 2
+        params, history = err.params, err.history
+        manifest.error = f"training diverged: {err}"
     watch.lap("train")
 
     vae.save_checkpoint(params, ckpt_path)
@@ -339,12 +336,14 @@ def cmd_train(args) -> int:
         out_dir / "history.csv", _history_offset_csv(prior_rows, history, offset)
     )
     watch.lap("write")
-    manifest = report.RunManifest("train", vars(args))
     manifest.add_input(args.corpus)
     manifest.add_output(str(ckpt_path))
     manifest.add_output(str(out_dir / "history.csv"))
     manifest.timings_s = watch.laps
     manifest.write(out_dir / "manifest.json")
+    if manifest.error:
+        log.error("%s (last good checkpoint kept)", manifest.error)
+        return 2
     log.info("final loss %.4f (recon %.4f, kl %.4f)", history[-1].loss,
              history[-1].recon_ce, history[-1].kl)
     return 0

@@ -1,8 +1,10 @@
 """Scalar rhythm (R), pitch (P), and melody (M) descriptors of a melody.
 
-The catalog is fixed at 20 named features.  Durations are reported in
-seconds using the melody's tempo; interval features use consecutive note
-onsets regardless of intervening rests.  Melodies with too few notes for a
+The catalog is fixed at 20 named features.  Note durations (R2-R5) and
+density (R1, notes per second) use seconds at the melody's tempo;
+R7_mean_inter_onset_interval is in grid steps (sixteenth notes), so it does
+not scale with tempo.  Interval features use consecutive note onsets
+regardless of intervening rests.  Melodies with too few notes for a
 feature get the value 0 with the feature name recorded as degenerate, so
 corpus pipelines never abort.
 """

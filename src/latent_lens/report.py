@@ -1,8 +1,8 @@
 """CSV export and run manifests.  CSV files are the source of truth for all
 figures; SVGs are derived views.  Every command writes a manifest recording
 the tool version, the config snapshot, content hashes of its inputs, the
-output file list, wall-clock timings and the process's peak resident memory,
-so results can be regenerated."""
+output file list, wall-clock timings, the process's peak resident memory and,
+for a run that failed, why, so results can be regenerated."""
 
 from __future__ import annotations
 
@@ -72,6 +72,7 @@ class RunManifest:
     input_hashes: dict = field(default_factory=dict)
     outputs: list = field(default_factory=list)
     timings_s: dict = field(default_factory=dict)
+    error: str | None = None  # why the command failed, if it did
 
     def add_input(self, path: str | Path) -> None:
         self.input_hashes[str(path)] = sha256_file(path)
@@ -90,6 +91,8 @@ class RunManifest:
             "timings_s": self.timings_s,
             "peak_rss_mb": round(peak_kib / 1024.0, 1),
         }
+        if self.error:
+            payload["error"] = self.error
         write_text_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 

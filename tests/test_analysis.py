@@ -169,8 +169,9 @@ def test_encode_corpus_independent_of_batch_size():
     rng = np.random.default_rng(6)
     seqs = [random_seq(rng) for _ in range(40)]
     ref = encode_corpus(p, seqs, batch_size=256)
-    lm = encode_corpus(p, seqs, batch_size=7)
-    assert np.array_equal(lm.mus, ref.mus) and np.array_equal(lm.sigmas, ref.sigmas)
+    for batch_size in (3, 7, 13, 39):  # 3, 13 and 39 leave a one-row tail
+        lm = encode_corpus(p, seqs, batch_size=batch_size)
+        assert np.array_equal(lm.mus, ref.mus) and np.array_equal(lm.sigmas, ref.sigmas)
     # numpy hands a one-row product to gemv, whose sums round differently
     # from gemm's, so batches of one agree to rounding only
     one = encode_corpus(p, seqs, batch_size=1)

@@ -119,6 +119,7 @@ def test_train_outputs(tiny_run):
     assert len(history) == 3
     manifest = json.loads((train_dir / "manifest.json").read_text())
     assert manifest["command"] == "train"
+    assert "error" not in manifest
     params = vae.load_checkpoint(train_dir / "checkpoint.npz")
     assert params.config.latent_dim == 8
 
@@ -130,6 +131,26 @@ def test_train_seeded_rerun_identical(tiny_run, tmp_path):
                "--epochs", "2", "--embed-dim", "12", "--hidden-dim", "16",
                "--latent-dim", "8", "--batch", "32", "--seed", "0") == 0
     assert (redo / "history.csv").read_text() == (train_dir / "history.csv").read_text()
+
+
+def test_train_divergence_keeps_checkpoint_and_manifest(tmp_path):
+    corpus_path = tmp_path / "corpus.jsonl"
+    assert run("gen", "--kind", "musical", "--n", "64", "--seed", "3",
+               "--out", str(corpus_path)) == 0
+    out = tmp_path / "model"
+    with np.errstate(all="ignore"):
+        code = run("train", "--corpus", str(corpus_path), "--out-dir", str(out),
+                   "--epochs", "2", "--embed-dim", "8", "--hidden-dim", "12",
+                   "--latent-dim", "6", "--lr", "1e3", "--seed", "0")
+    assert code == 2
+    params = vae.load_checkpoint(out / "checkpoint.npz")
+    assert params.config.latent_dim == 6
+    assert (out / "history.csv").read_text().splitlines()[0] == "epoch,loss,recon_ce,kl"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == "train"
+    assert manifest["error"].startswith("training diverged: epoch ")
+    assert "non-finite loss" in manifest["error"]
+    assert sorted(manifest["outputs"]) == [str(out / "checkpoint.npz"), str(out / "history.csv")]
 
 
 def test_train_resume_continues_epochs(tiny_run, tmp_path):

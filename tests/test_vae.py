@@ -38,6 +38,119 @@ def random_seq(rng, seq_len=32) -> TokenSequence:
     return TokenSequence(tuple(random_tokens(rng, 1, seq_len)[0]), seq_len // 16)
 
 
+# ------------------------------------------------- batch-major reference
+# The training pass written the plain way: (B, T, .) arrays, 3-D input
+# products and np.add.at scatters, sharing only the cell step with vae.py.
+
+def _ref_scan(g, wh, h0):
+    b, t_len, h3 = g.shape
+    hs = np.empty((b, t_len, h3 // 3))
+    ru = np.empty((b, t_len, 2 * h3 // 3))
+    c = np.empty((b, t_len, h3 // 3))
+    h = h0
+    for t in range(t_len):
+        h, ru[:, t], c[:, t] = vae._gru_step(g[:, t], h, wh)
+        hs[:, t] = h
+    return hs, ru, c
+
+
+def _ref_scan_backward(wh, h0, hs, ru, c_all, dhs):
+    b, t_len, h = hs.shape
+    h_prev_all = np.concatenate((h0[:, None], hs[:, :-1]), axis=1)
+    dg = np.empty((b, t_len, 3 * h))
+    dh = np.zeros((b, h))
+    for t in reversed(range(t_len)):
+        h_prev, r, u, c = h_prev_all[:, t], ru[:, t, :h], ru[:, t, h:], c_all[:, t]
+        dh = dh + dhs[:, t]
+        dg[:, t, 2 * h :] = dh * (1.0 - u) * (1.0 - c * c)
+        ds = dg[:, t, 2 * h :] @ wh[:, 2 * h :].T
+        dg[:, t, :h] = ds * h_prev * r * (1.0 - r)
+        dg[:, t, h : 2 * h] = dh * (h_prev - c) * u * (1.0 - u)
+        dh = dh * u + ds * r + dg[:, t, : 2 * h] @ wh[:, : 2 * h].T
+    s = ru[..., :h] * h_prev_all
+    dwh = np.concatenate((np.einsum("bti,btj->ij", h_prev_all, dg[..., : 2 * h]),
+                          np.einsum("bti,btj->ij", s, dg[..., 2 * h :])), axis=1)
+    return dg, dwh, dh
+
+
+def reference_encoder(p, tokens):
+    xe = p.embed[tokens]
+    hs, ru, c = _ref_scan(xe @ p.enc_wx + p.enc_b, p.enc_wh,
+                          np.zeros((tokens.shape[0], p.config.hidden_dim)))
+    h_t = hs[:, -1]
+    return xe, (hs, ru, c), h_t @ p.w_mu + p.b_mu, h_t @ p.w_logvar + p.b_logvar
+
+
+def reference_loss_and_grads(p, tokens, beta, eps, keep_mask=None):
+    b, t_len = tokens.shape
+    xe, (hs_e, ru_e, c_e), mu, logvar = reference_encoder(p, tokens)
+    sigma = np.exp(0.5 * logvar)
+    z = mu + sigma * eps
+    h0 = np.tanh(z @ p.z_w + p.z_b)
+    mask = np.ones((b, t_len)) if keep_mask is None else keep_mask
+    xd = np.zeros((b, t_len, p.config.embed_dim))
+    xd[:, 1:] = p.embed[tokens[:, :-1]]
+    xd *= mask[:, :, None]
+    hs_d, ru_d, c_d = _ref_scan(xd @ p.dec_wx + (z @ p.dec_wz)[:, None] + p.dec_b,
+                                p.dec_wh, h0)
+    logits = hs_d @ p.out_w + p.out_b
+    m = logits.max(axis=-1, keepdims=True)
+    prob = np.exp(logits - m)
+    lse = m[..., 0] + np.log(prob.sum(axis=-1))
+    prob /= prob.sum(axis=-1, keepdims=True)
+    bi, ti = np.indices(tokens.shape)
+    loss = (lse - logits[bi, ti, tokens]).mean() + beta * gaussian_kl(mu, logvar).mean()
+
+    g = {}
+    dlogits = prob
+    dlogits[bi, ti, tokens] -= 1.0
+    dlogits /= b * t_len
+    g["out_w"] = np.einsum("bth,btv->hv", hs_d, dlogits)
+    g["out_b"] = dlogits.sum(axis=(0, 1))
+    dg_d, g["dec_wh"], dh0 = _ref_scan_backward(p.dec_wh, h0, hs_d, ru_d, c_d,
+                                                dlogits @ p.out_w.T)
+    g["dec_wx"] = np.einsum("bte,btg->eg", xd, dg_d)
+    g["dec_wz"] = z.T @ dg_d.sum(axis=1)
+    g["dec_b"] = dg_d.sum(axis=(0, 1))
+    d_embed = np.zeros_like(p.embed)
+    np.add.at(d_embed, tokens[:, :-1], ((dg_d @ p.dec_wx.T) * mask[:, :, None])[:, 1:])
+    da0 = dh0 * (1.0 - h0 * h0)
+    g["z_w"] = z.T @ da0
+    g["z_b"] = da0.sum(axis=0)
+    dz = da0 @ p.z_w.T + dg_d.sum(axis=1) @ p.dec_wz.T
+    dmu = dz + beta * mu / b
+    dlogvar = dz * eps * 0.5 * sigma + beta * 0.5 * (np.exp(logvar) - 1.0) / b
+    h_t = hs_e[:, -1]
+    g["w_mu"], g["b_mu"] = h_t.T @ dmu, dmu.sum(axis=0)
+    g["w_logvar"], g["b_logvar"] = h_t.T @ dlogvar, dlogvar.sum(axis=0)
+    dhs_e = np.zeros_like(hs_e)
+    dhs_e[:, -1] = dmu @ p.w_mu.T + dlogvar @ p.w_logvar.T
+    dg_e, g["enc_wh"], _ = _ref_scan_backward(p.enc_wh, np.zeros_like(h0), hs_e, ru_e,
+                                              c_e, dhs_e)
+    g["enc_wx"] = np.einsum("bte,btg->eg", xe, dg_e)
+    g["enc_b"] = dg_e.sum(axis=(0, 1))
+    np.add.at(d_embed, tokens, dg_e @ p.enc_wx.T)
+    g["embed"] = d_embed
+    return loss, g
+
+
+def tokens_using(rng, n, n_used):
+    """(n, 32) tokens drawn from n_used distinct tokens, each of which appears
+    where the batch has room."""
+    used = rng.permutation(VOCAB_SIZE)[:n_used]
+    tokens = used[rng.integers(0, n_used, (n, 32))]
+    k = min(n_used, tokens.size)
+    tokens.flat[:k] = used[:k]
+    return tokens
+
+
+def with_random_biases(p, rng):
+    for name, arr in p.arrays().items():  # init leaves biases at zero
+        if arr.ndim == 1:
+            arr[...] = rng.normal(0.0, 0.5, arr.shape)
+    return p
+
+
 # ---------------------------------------------------------------- init
 
 def test_init_deterministic():
@@ -112,16 +225,12 @@ def test_encode_batch_matches_single():
 @example(cfg=ModelConfig(latent_dim=4), n=1, n_used=1, seed=1)
 @example(cfg=ModelConfig(latent_dim=4), n=5, n_used=VOCAB_SIZE, seed=2)  # every token
 def test_encode_batch_equals_training_encoder(cfg, n, n_used, seed):
-    """The cache-free inference scan gives exactly the training pass's output."""
+    """The cache-free inference scan over token tables gives exactly the
+    output of the batch-major reference encoder (3-D input product)."""
     rng = np.random.default_rng(seed)
-    p = init_params(cfg, seed % 5)
-    for name in ("enc_b", "b_mu", "b_logvar"):  # init leaves biases at zero
-        getattr(p, name)[...] = rng.normal(0.0, 0.5, getattr(p, name).shape)
-    used = rng.permutation(VOCAB_SIZE)[:n_used]
-    tokens = used[rng.integers(0, n_used, (n, 32))]
-    k = min(n_used, tokens.size)
-    tokens.flat[:k] = used[:k]  # each chosen token appears where the batch has room
-    mu, logvar = vae._encoder_forward(p, tokens)[-2:]
+    p = with_random_biases(init_params(cfg, seed % 5), rng)
+    tokens = tokens_using(rng, n, n_used)
+    mu, logvar = reference_encoder(p, tokens)[-2:]
     mus, sigmas = encode_batch(p, tokens)
     assert np.array_equal(mus, mu)
     assert np.array_equal(sigmas, np.exp(0.5 * logvar))
@@ -306,6 +415,37 @@ def test_gradients_with_input_dropout_mask():
             flat[i] = orig
             fd = (lp - lm) / (2 * step)
             assert abs(fd - gflat[i]) / max(abs(fd), abs(gflat[i]), 1e-8) < 1e-4
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    cfg=st.sampled_from([SMALL, ModelConfig(embed_dim=16, hidden_dim=24, latent_dim=4)]),
+    n=st.integers(1, 40),
+    n_used=st.integers(1, VOCAB_SIZE),
+    masked=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(cfg=SMALL, n=4, n_used=1, masked=False, seed=0)  # one token
+@example(cfg=SMALL, n=4, n_used=1, masked=True, seed=1)
+@example(cfg=SMALL, n=1, n_used=20, masked=True, seed=2)
+@example(cfg=SMALL, n=40, n_used=VOCAB_SIZE, masked=False, seed=3)  # every token
+@example(cfg=SMALL, n=40, n_used=VOCAB_SIZE, masked=True, seed=4)
+def test_loss_and_grads_equal_batch_major_reference(cfg, n, n_used, masked, seed):
+    """The time-major, token-table training pass matches the batch-major
+    reference to 1e-12 of each array's largest entry."""
+    rng = np.random.default_rng(seed)
+    p = with_random_biases(init_params(cfg, seed % 7), rng)
+    tokens = tokens_using(rng, n, n_used)
+    eps = rng.standard_normal((n, cfg.latent_dim))
+    keep = (rng.random(tokens.shape) >= 0.3).astype(float) if masked else None
+    loss, _, _, state = vae._loss_forward(p, tokens, 0.05, eps, True, keep)
+    grads = vae._loss_backward(p, tokens, 0.05, eps, state)
+    ref_loss, ref_grads = reference_loss_and_grads(p, tokens, 0.05, eps, keep)
+    assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+    assert grads.keys() == ref_grads.keys()
+    for name, ref in ref_grads.items():
+        assert grads[name].shape == ref.shape, name
+        assert np.abs(grads[name] - ref).max() <= 1e-12 * np.abs(ref).max(), name
 
 
 # ---------------------------------------------------------------- training
