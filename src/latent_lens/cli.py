@@ -369,6 +369,8 @@ def cmd_analyze(args) -> int:
     manifest = report.RunManifest("analyze", vars(args))
     manifest.add_input(args.checkpoint)
     manifest.add_input(args.corpus)
+    skipped = {"corpus": len(entries) - len(kept)}
+    manifest.dropped["skipped_sequences"] = skipped
 
     def emit(name: str, text: str) -> None:
         report.write_text_atomic(out_dir / name, text)
@@ -406,9 +408,12 @@ def cmd_analyze(args) -> int:
     watch.lap("pearson")
 
     melodies = [melody.detokenize(seq, tempo) for seq, tempo in kept]
-    fmatrix, fnames = features.extract_corpus_features(melodies)
+    fmatrix, degenerate = features.extract_corpus_features(melodies)
+    fnames = features.FEATURE_NAMES
+    manifest.dropped["degenerate_values"] = dict(zip(fnames, degenerate.sum(axis=0).tolist()))
     phik_cfg = stats.PhikConfig(n_bins=args.phik_bins)
     phik_m = analysis.neuron_feature_phik(lm, fmatrix, phik_cfg)
+    manifest.dropped["nan_phik_cells"] = int(np.isnan(phik_m).sum())
     report.write_matrix_csv(
         out_dir / "feature_phik.csv", phik_m, list(fnames), labels
     )
@@ -446,6 +451,7 @@ def cmd_analyze(args) -> int:
         manifest.add_input(args.random_corpus)
         rand_entries = _load_corpus_file(args.random_corpus)
         rand_seqs = [seq for seq, _ in rand_entries if len(seq) == seq_len]
+        skipped["random_corpus"] = len(rand_entries) - len(rand_seqs)
         if not rand_seqs:
             raise CliInputError("no random-corpus sequence matches the checkpoint")
         comp = analysis.compare_real_vs_random(

@@ -4,15 +4,16 @@ The catalog is fixed at 20 named features.  Note durations (R2-R5) and
 density (R1, notes per second) use seconds at the melody's tempo;
 R7_mean_inter_onset_interval is in grid steps (sixteenth notes), so it does
 not scale with tempo.  Interval features use consecutive note onsets
-regardless of intervening rests.  Melodies with too few notes for a
-feature get the value 0 with the feature name recorded as degenerate, so
-corpus pipelines never abort.
+regardless of intervening rests.  The modes break count ties toward the
+lower pitch (P5) and toward the smaller |interval|, then the falling one
+(M2).  Melodies with too few notes for a feature get the value 0 and are
+marked degenerate for it, so corpus pipelines never abort.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -65,77 +66,106 @@ class FeatureVector:
         return np.array([self.values[name] for name in FEATURE_NAMES])
 
 
-def _most_common(values: Sequence[int], tie_key) -> int:
-    uniq, counts = np.unique(np.asarray(values), return_counts=True)
-    best = counts.max()
-    candidates = [int(u) for u, c in zip(uniq, counts) if c == best]
-    return min(candidates, key=tie_key)
+# notes a melody needs for each feature to be defined; M3 also needs a nonzero interval
+_MIN_NOTES = np.array([
+    0 if name in ("R1_note_density", "R6_rest_fraction")
+    else 2 if name[0] == "M" or name == "R7_mean_inter_onset_interval" else 1
+    for name in FEATURE_NAMES
+])
+
+
+def _segment_mode(seg: np.ndarray, keys: np.ndarray, n_keys: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per segment id present, in ascending order: its most frequent key in
+    ``[0, n_keys)`` (ties to the smaller key) and that key's count."""
+    uniq, counts = np.unique(seg * n_keys + keys, return_counts=True)
+    useg = uniq // n_keys
+    order = np.lexsort((uniq, -counts, useg))  # by segment, then count down, then key
+    first = order[np.unique(useg[order], return_index=True)[1]]
+    return uniq[first] % n_keys, counts[first]
+
+
+def extract_corpus_features(corpus: Iterable[Melody]) -> tuple[np.ndarray, np.ndarray]:
+    """Feature matrix and degenerate mask of a corpus, both (n, 20) in catalog order.
+
+    Every span of the corpus goes into one flat array with its melody's index,
+    and each feature is a segment reduction over it (``np.bincount`` sums,
+    ``reduceat`` extremes, ``np.unique`` counts), so the cost follows the span
+    count.  Values equal the per-melody numpy results bit for bit, except R3,
+    whose squared deviations are summed in span order rather than pairwise
+    (so it may differ from ``np.std`` in the last bit or two).
+    """
+    melodies = list(corpus)
+    if not melodies:
+        raise ValueError("corpus must be non-empty")
+    n = len(melodies)
+    count = np.array([len(m.spans) for m in melodies])
+    sec = np.array([step_seconds(m.tempo_qpm) for m in melodies])
+    total_steps = np.array([m.total_steps for m in melodies])
+    pitch, onset, dur = np.array(
+        [(s.pitch, s.onset_step, s.duration_steps) for m in melodies for s in m.spans],
+        dtype=np.int64,
+    ).reshape(-1, 3).T
+    mel = np.repeat(np.arange(n), count)
+    has = count > 0
+    starts = (np.cumsum(count) - count)[has]  # first span of each non-empty melody
+    notes, steps = np.maximum(count, 1), np.maximum(count - 1, 1)
+
+    def total(weights, ids=mel) -> np.ndarray:
+        return np.bincount(ids, weights=weights, minlength=n)
+
+    def per_melody(values) -> np.ndarray:  # spread a reduction over non-empty melodies
+        out = np.zeros(n)
+        out[has] = values
+        return out
+
+    mean_dur = total(dur) / notes
+    pitch_mode, mode_count = _segment_mode(mel, pitch, 128)
+    # intervals between consecutive spans of the same melody
+    same = mel[1:] == mel[:-1]
+    ival, imel = np.diff(pitch)[same], mel[1:][same]
+    size = np.abs(ival)
+    moving = total(ival != 0, imel)
+    # the tie order (|v|, then v) is the order of the rank 2|v| + (v > 0)
+    rank, _ = _segment_mode(imel, 2 * size + (ival > 0), 256)
+    ival_mode = np.zeros(n)
+    ival_mode[count > 1] = np.where(rank % 2 == 1, 1, -1) * (rank // 2)
+    cols = {
+        "R1_note_density": count / (total_steps * sec),
+        "R2_mean_note_duration": mean_dur * sec,
+        "R3_sd_note_duration": np.sqrt(total((dur - mean_dur[mel]) ** 2) / notes) * sec,
+        "R4_shortest_note": per_melody(np.minimum.reduceat(dur, starts)) * sec,
+        "R5_longest_note": per_melody(np.maximum.reduceat(dur, starts)) * sec,
+        "R6_rest_fraction": 1.0 - total(dur) / total_steps,
+        "R7_mean_inter_onset_interval":
+            per_melody(onset[starts + count[has] - 1] - onset[starts]) / steps,
+        "P1_pitch_range":
+            per_melody(np.maximum.reduceat(pitch, starts) - np.minimum.reduceat(pitch, starts)),
+        "P2_mean_pitch": total(pitch) / notes,
+        "P3_pitch_variety": np.bincount(np.unique(mel * 128 + pitch) // 128, minlength=n),
+        "P4_pitch_class_variety":
+            np.bincount(np.unique(mel * 12 + pitch % 12) // 12, minlength=n),
+        "P5_most_common_pitch": per_melody(pitch_mode),
+        "P6_most_common_pitch_frequency": per_melody(mode_count) / notes,
+        "M1_mean_abs_interval": total(size, imel) / steps,
+        "M2_most_common_interval": ival_mode,
+        "M3_rising_fraction": total(ival > 0, imel) / np.maximum(moving, 1),
+        "M4_stepwise_fraction": total((size == 1) | (size == 2), imel) / steps,
+        "M5_chromatic_fraction": total(size == 1, imel) / steps,
+        "M6_repeated_fraction": total(ival == 0, imel) / steps,
+        "M7_arpeggiation_fraction":
+            total(np.isin(size, tuple(ARPEGGIATION_INTERVALS)), imel) / steps,
+    }
+    degenerate = count[:, None] < _MIN_NOTES
+    degenerate[:, FEATURE_NAMES.index("M3_rising_fraction")] |= moving == 0
+    values = np.column_stack([cols[name] for name in FEATURE_NAMES])
+    values[degenerate] = 0.0
+    return values, degenerate
 
 
 def extract_features(melody: Melody) -> FeatureVector:
     """Compute the 20-feature catalog for one melody."""
-    sec = step_seconds(melody.tempo_qpm)
-    total_steps = melody.total_steps
-    total_seconds = total_steps * sec
-    spans = melody.spans
-    n = len(spans)
-    pitches = np.array([s.pitch for s in spans], dtype=int)
-    onsets = np.array([s.onset_step for s in spans], dtype=int)
-    durations = np.array([s.duration_steps for s in spans], dtype=int)
-
-    values: dict[str, float] = {}
-    degenerate: set[str] = set()
-
-    def put(name: str, value: float | None) -> None:
-        if value is None:
-            values[name] = 0.0
-            degenerate.add(name)
-        else:
-            values[name] = float(value)
-
-    put("R1_note_density", n / total_seconds)
-    put("R2_mean_note_duration", durations.mean() * sec if n else None)
-    put("R3_sd_note_duration", durations.std() * sec if n else None)
-    put("R4_shortest_note", durations.min() * sec if n else None)
-    put("R5_longest_note", durations.max() * sec if n else None)
-    put("R6_rest_fraction", 1.0 - durations.sum() / total_steps)
-    put("R7_mean_inter_onset_interval", np.diff(onsets).mean() if n >= 2 else None)
-
-    put("P1_pitch_range", pitches.max() - pitches.min() if n else None)
-    put("P2_mean_pitch", pitches.mean() if n else None)
-    put("P3_pitch_variety", len(np.unique(pitches)) if n else None)
-    put("P4_pitch_class_variety", len(np.unique(pitches % 12)) if n else None)
-    put("P5_most_common_pitch", _most_common(pitches, lambda v: v) if n else None)
-    if n:
-        mode = values["P5_most_common_pitch"]
-        put("P6_most_common_pitch_frequency", (pitches == mode).sum() / n)
-    else:
-        put("P6_most_common_pitch_frequency", None)
-
-    if n >= 2:
-        ivals = np.diff(pitches)
-        nonzero = ivals[ivals != 0]
-        put("M1_mean_abs_interval", np.abs(ivals).mean())
-        put("M2_most_common_interval", _most_common(ivals, lambda v: (abs(v), v)))
-        put("M3_rising_fraction", (nonzero > 0).sum() / nonzero.size if nonzero.size else None)
-        put("M4_stepwise_fraction", np.isin(np.abs(ivals), (1, 2)).mean())
-        put("M5_chromatic_fraction", (np.abs(ivals) == 1).mean())
-        put("M6_repeated_fraction", (ivals == 0).mean())
-        put(
-            "M7_arpeggiation_fraction",
-            np.isin(np.abs(ivals), tuple(ARPEGGIATION_INTERVALS)).mean(),
-        )
-    else:
-        for name in FEATURE_NAMES:
-            if name.startswith("M"):
-                put(name, None)
-
-    return FeatureVector(values, frozenset(degenerate))
-
-
-def extract_corpus_features(corpus: Iterable[Melody]) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Feature matrix for a corpus: one row per melody, catalog column order."""
-    rows = [extract_features(m).as_array() for m in corpus]
-    if not rows:
-        raise ValueError("corpus must be non-empty")
-    return np.vstack(rows), FEATURE_NAMES
+    values, degenerate = extract_corpus_features([melody])
+    return FeatureVector(
+        dict(zip(FEATURE_NAMES, values[0].tolist())),
+        frozenset(name for name, d in zip(FEATURE_NAMES, degenerate[0]) if d),
+    )

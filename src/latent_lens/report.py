@@ -1,8 +1,10 @@
 """CSV export and run manifests.  CSV files are the source of truth for all
 figures; SVGs are derived views.  Every command writes a manifest recording
 the tool version, the config snapshot, content hashes of its inputs, the
-output file list, wall-clock timings, the process's peak resident memory and,
-for a run that failed, why, so results can be regenerated."""
+output file list, wall-clock timings, the process's peak resident memory,
+counts of what the run left out (``analyze``: skipped sequences, degenerate
+feature values, NaN phik cells) and, for a run that failed, why, so results
+can be regenerated."""
 
 from __future__ import annotations
 
@@ -73,6 +75,7 @@ class RunManifest:
     outputs: list = field(default_factory=list)
     timings_s: dict = field(default_factory=dict)
     error: str | None = None  # why the command failed, if it did
+    dropped: dict = field(default_factory=dict)  # counts of what a run left out
 
     def add_input(self, path: str | Path) -> None:
         self.input_hashes[str(path)] = sha256_file(path)
@@ -93,6 +96,8 @@ class RunManifest:
         }
         if self.error:
             payload["error"] = self.error
+        if self.dropped:
+            payload["dropped"] = self.dropped
         write_text_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 

@@ -47,15 +47,12 @@ class DegenerateBinningError(ValueError):
 
 @dataclass(frozen=True)
 class PhikConfig:
-    n_bins: int = 10
-    binning: str = "equal-width"  # or "equal-frequency"
+    n_bins: int = 10  # equal-width bins over each series' range
     rho_tol: float = 1e-4
 
     def __post_init__(self) -> None:
         if self.n_bins < 2:
             raise ValueError("n_bins must be >= 2")
-        if self.binning not in ("equal-width", "equal-frequency"):
-            raise ValueError(f"unknown binning mode {self.binning!r}")
         if not self.rho_tol > 0:
             raise ValueError("rho_tol must be positive")
 
@@ -63,8 +60,6 @@ class PhikConfig:
 @dataclass(frozen=True)
 class ContingencyTable:
     counts: np.ndarray  # (r, c) non-negative integers
-    row_bins: tuple[tuple[float, float], ...]
-    col_bins: tuple[tuple[float, float], ...]
 
     @property
     def n(self) -> int:
@@ -99,27 +94,13 @@ def pearson(x, y) -> float:
     return min(1.0, max(-1.0, r))
 
 
-def _bin_series(v: np.ndarray, cfg: PhikConfig) -> tuple[np.ndarray, list[tuple[float, float]]]:
-    """Assign each sample to a bin id; returns (ids, per-bin (lo, hi) bounds)."""
-    n = v.size
-    if cfg.binning == "equal-width":
-        lo, hi = float(v.min()), float(v.max())
-        if lo == hi:
-            raise DegenerateBinningError("constant series cannot be binned")
-        edges = np.linspace(lo, hi, cfg.n_bins + 1)
-        ids = np.searchsorted(edges[1:-1], v, side="right")
-        bounds = [(float(edges[i]), float(edges[i + 1])) for i in range(cfg.n_bins)]
-        return ids, bounds
-    order = np.argsort(v, kind="stable")
-    ids = np.empty(n, dtype=np.intp)
-    ids[order] = np.arange(n) * cfg.n_bins // n
-    sv = v[order]
-    bounds = []
-    for b in range(cfg.n_bins):
-        lo_i = b * n // cfg.n_bins
-        hi_i = max(lo_i, (b + 1) * n // cfg.n_bins - 1)
-        bounds.append((float(sv[lo_i]), float(sv[hi_i])))
-    return ids, bounds
+def _bin_series(v: np.ndarray, n_bins: int) -> np.ndarray:
+    """Equal-width bin id of each sample over the series' range."""
+    lo, hi = float(v.min()), float(v.max())
+    if lo == hi:
+        raise DegenerateBinningError("constant series cannot be binned")
+    edges = np.linspace(lo, hi, n_bins + 1)
+    return np.searchsorted(edges[1:-1], v, side="right")
 
 
 def contingency(x, y, cfg: PhikConfig | None = None) -> ContingencyTable:
@@ -131,8 +112,8 @@ def contingency(x, y, cfg: PhikConfig | None = None) -> ContingencyTable:
         raise ValueError("inputs must be equal-length 1-D series")
     if x.size < 2:
         raise ValueError("need at least two observations")
-    ix, xbounds = _bin_series(x, cfg)
-    iy, ybounds = _bin_series(y, cfg)
+    ix = _bin_series(x, cfg.n_bins)
+    iy = _bin_series(y, cfg.n_bins)
     counts = np.zeros((cfg.n_bins, cfg.n_bins), dtype=np.int64)
     np.add.at(counts, (ix, iy), 1)
     keep_r = counts.sum(axis=1) > 0
@@ -140,9 +121,7 @@ def contingency(x, y, cfg: PhikConfig | None = None) -> ContingencyTable:
     counts = counts[keep_r][:, keep_c]
     if counts.shape[0] < 2 or counts.shape[1] < 2:
         raise DegenerateBinningError("fewer than 2 occupied bins on a margin")
-    row_bins = tuple(b for b, k in zip(xbounds, keep_r) if k)
-    col_bins = tuple(b for b, k in zip(ybounds, keep_c) if k)
-    return ContingencyTable(counts, row_bins, col_bins)
+    return ContingencyTable(counts)
 
 
 def chi2(table: ContingencyTable) -> float:
@@ -264,7 +243,11 @@ def lowess(x, y, frac: float = 0.3, iters: int = 2) -> np.ndarray:
     """Robust locally weighted linear regression (tricube kernel).
 
     Returns the fitted value at each input x.  ``iters`` bisquare
-    reweightings follow the initial fit, downweighting outliers.
+    reweightings follow the initial fit, downweighting outliers.  A point's
+    bandwidth is its distance to its r-th nearest of all n points, ties
+    counted, r = ceil(frac * n).  Points with equal x share one local fit
+    (Cleveland 1979), so fits are made once per distinct x value, with
+    weights on the (m, m) grid of the m distinct values.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -276,29 +259,25 @@ def lowess(x, y, frac: float = 0.3, iters: int = 2) -> np.ndarray:
     if not 0.0 < frac <= 1.0:
         raise ValueError("frac must lie in (0, 1]")
     r = min(n - 1, max(2, int(math.ceil(frac * n))))
-    # one name for every (n, n) stage, so each is freed as the next is made
-    w = np.abs(x[:, None] - x[None, :])
-    h = np.maximum(np.partition(w, r, axis=1)[:, r], 1e-12)
-    w = np.clip(w / h[:, None], 0.0, 1.0)
+    ux, inv = np.unique(x, return_inverse=True)
+    h = np.partition(np.abs(ux[:, None] - x[None, :]), r, axis=1)[:, r]
+    w = np.clip(np.abs(ux[:, None] - ux[None, :]) / np.maximum(h, 1e-12)[:, None], 0.0, 1.0)
     w = 1.0 - w * w * w
-    w = w * w * w  # w[i, j]: weight of data point j for fit point i
+    w = w * w * w  # w[i, k]: weight of each point at ux[k] in the fit at ux[i]
 
-    xx = x * x
     delta = np.ones(n)
     yest = np.zeros(n)
     for it in range(iters + 1):
-        wd = w * delta[None, :]
-        s0 = wd.sum(axis=1)
-        s1 = wd @ x
-        s2 = wd @ xx
-        t0 = wd @ y
-        t1 = wd @ (x * y)
+        # per distinct value, the robustness weights' sum and their y-weighted sum
+        d0 = np.bincount(inv, weights=delta, minlength=ux.size)
+        d1 = np.bincount(inv, weights=delta * y, minlength=ux.size)
+        s0, s1, s2, t0, t1 = (w @ np.column_stack((d0, d0 * ux, d0 * ux * ux, d1, d1 * ux))).T
         det = s0 * s2 - s1 * s1
         ok = det > 1e-12 * np.maximum(s0 * s2, 1e-300)
         slope = np.where(ok, (s0 * t1 - s1 * t0) / np.where(ok, det, 1.0), 0.0)
         s0_safe = np.where(s0 > 0, s0, 1.0)
         intercept = (t0 - slope * s1) / s0_safe  # falls back to weighted mean
-        yest = intercept + slope * x
+        yest = intercept[inv] + slope[inv] * x
         if it == iters:
             break
         resid = y - yest

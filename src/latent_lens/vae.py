@@ -402,13 +402,15 @@ def gaussian_kl(mu: np.ndarray, logvar: np.ndarray) -> np.ndarray:
     return 0.5 * (mu**2 + np.exp(logvar) - 1.0 - logvar).sum(axis=-1)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _loss_forward(p: Params, tokens: np.ndarray, beta: float, eps: np.ndarray,
                   want_grads: bool, keep_mask: np.ndarray | None = None):
     """Teacher-forced ELBO forward pass; optionally keeps the backprop cache.
 
     keep_mask, when given, is a (B, T) 0/1 or boolean array blanking decoder
     inputs (training-time input dropout); position 0 is always blank by design.
-    Gate inputs are gathered time-major from per-token tables.
+    Gate inputs are gathered time-major from per-token tables.  Overflow is
+    not warned about: a non-finite loss raises :class:`NumericalError`.
     """
     b, t_len = tokens.shape
     ids, inv = _token_ids(tokens)

@@ -229,7 +229,8 @@ def test_criterion_6_neuron_feature_identification(desk_model, musical_corpus_2b
         n_music = len(partition.music)
         assert 0 < n_music < lm.d, "need both music and noise dims"
 
-        fmatrix, fnames = features.extract_corpus_features(musical_corpus_2bar)
+        fmatrix, _ = features.extract_corpus_features(musical_corpus_2bar)
+        fnames = features.FEATURE_NAMES
         phik_m = analysis.neuron_feature_phik(lm, fmatrix, PHIK_CFG)
         p_scores = _block_scores(phik_m, fnames, "P")
         r_scores = _block_scores(phik_m, fnames, "R")

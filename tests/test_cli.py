@@ -1,4 +1,5 @@
 import json
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -6,8 +7,10 @@ import pytest
 
 from latent_lens import cli, melody, midi, vae
 from latent_lens.corpus import RandomSeqConfig, SyntheticConfig, gen_musical_corpus
+from latent_lens.features import FEATURE_NAMES
 from latent_lens.melody import load_corpus
 
+from oracles import reference_features
 from test_midi import scale_file
 
 
@@ -138,11 +141,13 @@ def test_train_divergence_keeps_checkpoint_and_manifest(tmp_path):
     assert run("gen", "--kind", "musical", "--n", "64", "--seed", "3",
                "--out", str(corpus_path)) == 0
     out = tmp_path / "model"
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = run("train", "--corpus", str(corpus_path), "--out-dir", str(out),
                    "--epochs", "2", "--embed-dim", "8", "--hidden-dim", "12",
                    "--latent-dim", "6", "--lr", "1e3", "--seed", "0")
     assert code == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     params = vae.load_checkpoint(out / "checkpoint.npz")
     assert params.config.latent_dim == 6
     assert (out / "history.csv").read_text().splitlines()[0] == "epoch,loss,recon_ce,kl"
@@ -213,6 +218,38 @@ def test_analyze_manifest_records_peak_rss(tiny_run):
     _, _, _, _, out_dir = tiny_run
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["peak_rss_mb"] > 0
+
+
+def test_analyze_manifest_counts_dropped_data(tiny_run, tmp_path):
+    _, corpus_path, rand_path, train_dir, _ = tiny_run
+    long_line = melody.to_json_line(
+        melody.tokenize(melody.Melody((melody.NoteSpan(60, 0, 4),), 16, 120.0)), 120.0)
+    one_note = melody.to_json_line(
+        melody.tokenize(melody.Melody((melody.NoteSpan(67, 3, 2),), 2, 90.0)), 90.0)
+    lines = corpus_path.read_text().splitlines()[:40]
+    lines[5:5] = [long_line, one_note]
+    mixed = tmp_path / "mixed.jsonl"
+    mixed.write_text("\n".join(lines) + "\n")
+    rand_mixed = tmp_path / "rand_mixed.jsonl"
+    rand_mixed.write_text(rand_path.read_text() + long_line + "\n" + long_line + "\n")
+    out = tmp_path / "r"
+    assert run("analyze", "--checkpoint", str(train_dir / "checkpoint.npz"),
+               "--corpus", str(mixed), "--random-corpus", str(rand_mixed),
+               "--out-dir", str(out), "--phik-bins", "4") == 0
+    dropped = json.loads((out / "manifest.json").read_text())["dropped"]
+    assert dropped["skipped_sequences"] == {"corpus": 1, "random_corpus": 2}
+
+    kept = [melody.detokenize(seq, tempo) for seq, tempo in load_corpus(mixed)
+            if len(seq) == 32]
+    expected = np.sum([reference_features(m)[1] for m in kept], axis=0)
+    assert dropped["degenerate_values"] == dict(zip(FEATURE_NAMES, expected.tolist()))
+    # the one-note melody has no interval and no inter-onset gap
+    assert dropped["degenerate_values"]["M2_most_common_interval"] >= 1
+    assert dropped["degenerate_values"]["R7_mean_inter_onset_interval"] >= 1
+
+    rows = (out / "feature_phik.csv").read_text().splitlines()[1:]
+    blanks = sum(cell == "" for row in rows for cell in row.split(",")[1:])
+    assert dropped["nan_phik_cells"] == blanks
 
 
 def test_analyze_requires_compatible_checkpoint(tiny_run, tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latent_lens.features import (
     FEATURE_NAMES,
@@ -9,6 +11,7 @@ from latent_lens.features import (
 from latent_lens.melody import Melody, NoteSpan
 
 from conftest import random_melody
+from oracles import reference_features
 
 
 def c_major_scale() -> Melody:
@@ -160,11 +163,90 @@ def test_fraction_features_bounded():
 def test_corpus_matrix_order():
     rng = np.random.default_rng(24)
     mels = [random_melody(rng) for _ in range(10)]
-    matrix, names = extract_corpus_features(mels)
-    assert matrix.shape == (10, 20)
-    assert names == FEATURE_NAMES
+    matrix, degenerate = extract_corpus_features(mels)
+    assert matrix.shape == degenerate.shape == (10, 20)
     single, _ = extract_corpus_features([mels[3]])
-    assert np.allclose(matrix[3], single[0])
+    assert np.array_equal(matrix[3], single[0])
     # permuting rows permutes the matrix rows identically
     matrix_rev, _ = extract_corpus_features(mels[::-1])
-    assert np.allclose(matrix_rev, matrix[::-1])
+    assert np.array_equal(matrix_rev, matrix[::-1])
+
+
+def test_empty_corpus_rejected():
+    with pytest.raises(ValueError):
+        extract_corpus_features([])
+
+
+# ------------------------------------------- corpus pass vs per-melody oracle
+
+R3 = FEATURE_NAMES.index("R3_sd_note_duration")
+EXACT = [j for j in range(len(FEATURE_NAMES)) if j != R3]
+
+
+def _spans(pitches, duration=2):
+    return tuple(NoteSpan(p, i * duration, duration) for i, p in enumerate(pitches))
+
+
+EDGE_MELODIES = [
+    Melody((), 2, 120.0),  # empty
+    Melody((), 16, 75.0),
+    Melody((NoteSpan(72, 5, 3),), 2, 96.0),  # one note
+    Melody(_spans([64] * 6), 2, 140.0),  # all one pitch: no moving interval
+    Melody(_spans([60, 62, 60, 62]), 2, 120.0),  # tied pitch modes
+    Melody(_spans([60, 62, 60]), 2, 120.0),  # intervals +2, -2 tie
+    Melody(_spans([60, 63, 60, 57, 60, 63]), 2, 55.0),  # +3 and -3 tie twice
+    Melody(_spans([127, 0, 127], duration=5), 2, 200.0),  # extreme intervals
+    Melody(_spans([5, 17, 29, 41] * 4, duration=4), 16, 61.5),  # one pitch class
+]
+
+
+@st.composite
+def melodies(draw):
+    bars = draw(st.sampled_from((2, 16)))
+    tempo = draw(st.sampled_from((40.0, 96.5, 120.0, 133.0, 219.9)))
+    # a narrow register makes pitch and interval ties common
+    pitch = st.integers(0, 127) if draw(st.booleans()) else st.integers(58, 65)
+    spans = []
+    pos = 0
+    for gap, dur, p in draw(st.lists(
+        st.tuples(st.integers(0, 3), st.integers(1, 9), pitch), max_size=14
+    )):
+        if pos + gap + dur > 16 * bars:
+            break
+        spans.append(NoteSpan(p, pos + gap, dur))
+        pos += gap + dur
+    return Melody(tuple(spans), bars, tempo)
+
+
+def assert_matches_reference(mels):
+    values, degenerate = extract_corpus_features(mels)
+    ref = [reference_features(m) for m in mels]
+    ref_values = np.array([v for v, _ in ref])
+    assert np.array_equal(degenerate, np.array([d for _, d in ref]))
+    assert np.array_equal(values[:, EXACT], ref_values[:, EXACT])
+    # numpy's std sums the squared deviations pairwise, the corpus pass in order
+    assert np.allclose(values[:, R3], ref_values[:, R3], rtol=2e-15, atol=0.0)
+
+
+def test_edge_melodies_match_reference():
+    assert_matches_reference(EDGE_MELODIES)
+    for m in EDGE_MELODIES:
+        fv = extract_features(m)
+        ref_values, ref_degenerate = reference_features(m)
+        assert np.array_equal(fv.as_array()[EXACT], ref_values[EXACT])
+        assert fv.degenerate == {n for n, d in zip(FEATURE_NAMES, ref_degenerate) if d}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(melodies(), st.sampled_from(EDGE_MELODIES)), min_size=1, max_size=50))
+def test_corpus_features_match_reference(mels):
+    assert_matches_reference(mels)
+
+
+def test_benchmark_scale_corpora_match_reference():
+    from latent_lens import corpus
+
+    musical = corpus.gen_musical_corpus(corpus.SyntheticConfig(seed=7), 300)
+    random = corpus.gen_random_corpus(corpus.RandomSeqConfig(), 300, 9)
+    assert_matches_reference(musical)
+    assert_matches_reference(random)

@@ -5,13 +5,14 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr, owens_t
 
 from latent_lens.stats import (
     BoxplotSummary,
     ConstantInputError,
+    ContingencyTable,
     DegenerateBinningError,
     PhikConfig,
     boxplot_summary,
@@ -23,6 +24,8 @@ from latent_lens.stats import (
     phik,
     phik_matrix,
 )
+
+from oracles import reference_lowess
 
 
 # ---------------------------------------------------------------- pearson
@@ -63,16 +66,6 @@ def test_contingency_total_preserved():
     assert t.counts.sum() == 500
 
 
-def test_contingency_equal_frequency_balanced():
-    rng = np.random.default_rng(2)
-    x = rng.exponential(size=1000)  # heavily skewed
-    y = rng.standard_normal(1000)
-    cfg = PhikConfig(n_bins=8, binning="equal-frequency")
-    t = contingency(x, y, cfg)
-    rows = t.counts.sum(axis=1)
-    assert rows.max() - rows.min() <= 1
-
-
 def test_contingency_constant_errors():
     with pytest.raises(DegenerateBinningError):
         contingency(np.ones(10), np.arange(10.0))
@@ -106,10 +99,7 @@ def test_chi2_permutation_invariant():
     t = contingency(x, y, PhikConfig(n_bins=4))
     base = chi2(t)
     perm_counts = t.counts[np.random.default_rng(0).permutation(t.counts.shape[0])]
-    from latent_lens.stats import ContingencyTable
-
-    perm = ContingencyTable(perm_counts, t.row_bins, t.col_bins)
-    assert chi2(perm) == pytest.approx(base)
+    assert chi2(ContingencyTable(perm_counts)) == pytest.approx(base)
 
 
 # ---------------------------------------------------------------- bvn
@@ -269,16 +259,6 @@ def test_phik_detects_nonlinear_dependence():
     assert phik(x, y) > 0.6
 
 
-def test_phik_monotone_invariance_equal_frequency():
-    rng = np.random.default_rng(9)
-    x = rng.uniform(1.0, 5.0, 3000)
-    y = x + rng.standard_normal(3000)
-    cfg = PhikConfig(n_bins=6, binning="equal-frequency")
-    a = phik(x, y, cfg)
-    b = phik(np.log(x), y, cfg)  # strictly monotone transform
-    assert a == pytest.approx(b, abs=1e-12)
-
-
 def test_phik_matrix_shapes_and_missing():
     rng = np.random.default_rng(10)
     a = rng.standard_normal((500, 3))
@@ -325,6 +305,55 @@ def test_lowess_validation():
         lowess(np.arange(3.0), np.arange(3.0))
     with pytest.raises(ValueError):
         lowess(np.arange(10.0), np.arange(10.0), frac=0.0)
+
+
+def test_lowess_tied_points_share_one_fit():
+    rng = np.random.default_rng(12)
+    x = rng.integers(0, 7, 400).astype(float)
+    fit = lowess(x, rng.standard_normal(400) + x, frac=0.2)
+    for v in np.unique(x):
+        assert np.unique(fit[x == v]).size == 1
+
+
+@st.composite
+def _lowess_inputs(draw):
+    n = draw(st.integers(5, 300))
+    kind = draw(st.sampled_from(("ties", "distinct", "two-valued", "constant")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = draw(st.floats(0.01, 10.0))
+    if kind == "ties":
+        x = rng.integers(0, draw(st.integers(1, 20)), n) * spread
+    elif kind == "distinct":
+        x = (rng.standard_normal(n) + draw(st.floats(-3.0, 3.0))) * spread
+        assume(np.unique(x).size == n)
+    elif kind == "two-valued":
+        x = rng.choice(rng.uniform(-50.0, 50.0, 2), n)
+    else:
+        x = np.full(n, draw(st.floats(-50.0, 50.0)))
+    y = draw(st.floats(-3.0, 3.0)) * x + draw(st.floats(0.01, 10.0)) * rng.standard_normal(n)
+    frac = draw(st.floats(0.0, 1.0, exclude_min=True))
+    return x, y, frac, draw(st.integers(0, 3))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="needs an extended-precision long double")
+@settings(max_examples=200, deadline=None)
+@given(_lowess_inputs())
+def test_lowess_matches_dense_reference(case):
+    x, y, frac, iters = case
+    scales: list[float] = []
+    ref = reference_lowess(x, y, frac, iters, scales=scales)
+    size = np.max(np.abs(ref))
+    # The reference solves uncentred normal equations in float64, so on some
+    # inputs it is itself off in the 12th digit: near-tied points far from the
+    # origin, and robustness passes whose residual median is rounding noise
+    # because most local fits interpolate (r = 2).  Compare only where the
+    # reference agrees with its own extended-precision run to 1e-13 of
+    # max |fit| and every residual median is a real residual.
+    ref_long = reference_lowess(x, y, frac, iters, dtype=np.longdouble)
+    assume(np.max(np.abs(ref - ref_long)) <= 1e-13 * size)
+    assume(min(scales, default=np.inf) >= 1e-6 * np.max(np.abs(y)))
+    assert np.max(np.abs(lowess(x, y, frac, iters) - ref)) <= 1e-12 * size
 
 
 # ---------------------------------------------------------------- summaries
