@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .stats import BoxplotSummary, PhikConfig, boxplot_summary, phik_matrix
-from .stats import ConstantInputError, lowess, pearson
+from .stats import lowess
 from .vae import Params, encode_batch
 
 DEFAULT_SIGMA_THRESHOLD = 0.9
@@ -72,10 +72,6 @@ class ActivationReport:
 class ComparisonReport:
     """Data behind the real-vs-random figures."""
 
-    dims: tuple[int, ...]  # top ordered dims shown in the per-neuron histograms
-    mu_edges: tuple[np.ndarray, ...]  # shared bin edges per dim
-    real_mu_hists: tuple[np.ndarray, ...]
-    random_mu_hists: tuple[np.ndarray, ...]
     real_activation: ActivationReport
     random_activation: ActivationReport
 
@@ -135,7 +131,8 @@ def central_value_stats(
 
 
 def mu_pearson_matrix(lm: LatentMatrix, d_prime: int | None = None) -> np.ndarray:
-    """Pearson correlations of mu columns over the first d' ordered dims.
+    """Pearson correlations of mu columns over the first d' ordered dims,
+    clipped to [-1, 1].
 
     Constant columns produce NaN rows/columns rather than errors.
     """
@@ -143,18 +140,10 @@ def mu_pearson_matrix(lm: LatentMatrix, d_prime: int | None = None) -> np.ndarra
         raise ValueError("need at least 3 melodies")
     order = order_by_sigma(lm)
     d_prime = min(lm.d, 100) if d_prime is None else min(d_prime, lm.d)
-    dims = order[:d_prime]
-    out = np.full((d_prime, d_prime), np.nan)
-    cols = [lm.mus[:, i] for i in dims]
-    for a in range(d_prime):
-        for b in range(a, d_prime):
-            try:
-                r = pearson(cols[a], cols[b])
-            except ConstantInputError:
-                continue
-            out[a, b] = r
-            out[b, a] = r
-    return out
+    cols = lm.mus[:, list(order[:d_prime])]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.corrcoef(cols, rowvar=False).reshape(d_prime, d_prime)
+    return np.clip(r, -1.0, 1.0)
 
 
 def neuron_feature_phik(
@@ -217,30 +206,14 @@ def compare_real_vs_random(
     random_corpus,
     partition: NeuronPartition,
     threshold: float = DEFAULT_ACTIVATION_THRESHOLD,
-    top_dims: int = 4,
-    hist_bins: int = 40,
 ) -> ComparisonReport:
-    """Per-neuron mu histograms and activation counts for the two corpora.
+    """Activation counts for the two corpora.
 
     ``real`` is the already-encoded real corpus; only the random corpus is
     encoded here.
     """
     rand = encode_corpus(params, random_corpus)
-    dims = partition.order[:top_dims]
-    edges = []
-    real_hists = []
-    rand_hists = []
-    for dim in dims:
-        both = np.concatenate((real.mus[:, dim], rand.mus[:, dim]))
-        e = np.histogram_bin_edges(both, bins=hist_bins)
-        edges.append(e)
-        real_hists.append(np.histogram(real.mus[:, dim], bins=e)[0])
-        rand_hists.append(np.histogram(rand.mus[:, dim], bins=e)[0])
     return ComparisonReport(
-        dims=tuple(dims),
-        mu_edges=tuple(edges),
-        real_mu_hists=tuple(real_hists),
-        random_mu_hists=tuple(rand_hists),
         real_activation=activation_counts(real, partition, threshold),
         random_activation=activation_counts(rand, partition, threshold),
     )

@@ -247,7 +247,10 @@ def lowess(x, y, frac: float = 0.3, iters: int = 2) -> np.ndarray:
     bandwidth is its distance to its r-th nearest of all n points, ties
     counted, r = ceil(frac * n).  Points with equal x share one local fit
     (Cleveland 1979), so fits are made once per distinct x value, with
-    weights on the (m, m) grid of the m distinct values.
+    weights on the (m, m) grid of the m distinct values.  The reweighting
+    stops early once the median absolute residual is at most 1e-12 of the
+    mean |y|: the fits then interpolate the data (as every local fit does
+    when r = 2 and x is distinct), and the residuals are rounding noise.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -282,7 +285,7 @@ def lowess(x, y, frac: float = 0.3, iters: int = 2) -> np.ndarray:
             break
         resid = y - yest
         scale = np.median(np.abs(resid))
-        if scale <= 0:
+        if scale <= 1e-12 * np.mean(np.abs(y)):
             break
         u = np.clip(resid / (6.0 * scale), -1.0, 1.0)
         delta = (1.0 - u * u) ** 2

@@ -24,11 +24,25 @@ Training and inference encoding both gather gate inputs from tables over
 the batch's distinct tokens (``_token_ids``).  Training scans time-major
 and sums its input gradients once per token; inference keeps only h and is
 bit-identical to the training encoder.
+
+The training pass writes its large (T, B, .) arrays (gathered gate inputs,
+scan states and gates, logits and the backward scans' gradients) into a
+``_Workspace``: named float64 buffers that outlive one call.  ``train``
+makes one per run, and gradient clipping and Adam keep their temporaries in
+one too, so every step after the first writes into the memory of the step
+before instead of mapping fresh pages; the public
+``elbo_loss`` and ``elbo_loss_and_grads`` make one per call, and nothing
+they return aliases it.  The gathers use ``np.take(..., mode="clip",
+out=...)``: with the default ``mode="raise"`` numpy fills a hidden
+temporary and copies it into ``out``, so that a bad index leaves ``out``
+untouched.  The indices are table rows made here, always in range.
+``encode_batch`` allocates its step buffers once per call.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import zipfile
 from dataclasses import asdict, dataclass
 
@@ -210,57 +224,92 @@ def init_params(cfg: ModelConfig, seed: int) -> Params:
     return Params(cfg, **arrays)
 
 
-def _gru_step(g_t: np.ndarray, h: np.ndarray, wh: np.ndarray):
+class _Workspace:
+    """Named float64 scratch buffers, reused from one call to the next.
+
+    ``get(name, shape)`` returns a C-contiguous array of that shape whose
+    contents are undefined: a view of the leading part of the name's flat
+    buffer, which is replaced by a larger one when a larger shape is asked
+    for.  So a run's short last batch, or a batch with fewer distinct
+    tokens, reuses the memory of a full one.  Arrays got under one name
+    share memory; those under different names never do.
+    """
+
+    def __init__(self) -> None:
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def get(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+
+def _gru_step(g_t: np.ndarray, h: np.ndarray, wh: np.ndarray, out=None):
     """One step of the cell, the only place its equations are written.
 
     g_t: (..., 3H) input contribution (x @ Wx + b) and wh: (H, 3H) recurrent
-    weights, gate order [r | u | c].  Returns (h', ru, c).  Each gate is
-    finished in place in the array its matrix product returns.
+    weights, gate order [r | u | c].  Returns (h', ru, c).  When given,
+    ``out`` = (h', ru, c, scratch) are the arrays to write them into, with a
+    scratch array shaped like h; none may overlap h.  Each gate is finished
+    in place in the array its matrix product writes.
     """
     h_dim = h.shape[-1]
-    ru = h @ wh[:, : 2 * h_dim]
+    h_new, ru, c, tmp = (None, None, None, None) if out is None else out
+    ru = np.matmul(h, wh[:, : 2 * h_dim], out=ru)
     ru += g_t[..., : 2 * h_dim]
     ru *= 0.5  # sigmoid(a) = 0.5 * tanh(0.5 * a) + 0.5
     np.tanh(ru, out=ru)
     ru *= 0.5
     ru += 0.5
     r, u = ru[..., :h_dim], ru[..., h_dim:]
-    c = (r * h) @ wh[:, 2 * h_dim :]
+    c = np.matmul(np.multiply(r, h, out=tmp), wh[:, 2 * h_dim :], out=c)
     c += g_t[..., 2 * h_dim :]
     np.tanh(c, out=c)
-    return u * h + (1.0 - u) * c, ru, c
+    h_new = np.multiply(u, h, out=h_new)
+    c_part = np.subtract(1.0, u, out=tmp)
+    c_part *= c
+    h_new += c_part  # u * h + (1 - u) * c
+    return h_new, ru, c
 
 
-def _gru_forward(g: np.ndarray, wh: np.ndarray, h0: np.ndarray):
-    """Run the cell over time.
+def _gru_forward(g: np.ndarray, wh: np.ndarray, h0: np.ndarray, ws: _Workspace,
+                 name: str):
+    """Run the cell over time, into the workspace arrays ``name`` + "_hs",
+    "_ru" and "_c".
 
     g: (T, B, 3H) input contributions (x @ Wx + b), gate order [r | u | c].
     Returns (hs, ru, c): hidden states (T+1, B, H) with h0 first, and the
     gates (T, B, 2H) and (T, B, H) for backprop.
     """
     t_len, b, h3 = g.shape
-    hs = np.empty((t_len + 1, b, h3 // 3))
+    hs = ws.get(name + "_hs", (t_len + 1, b, h3 // 3))
     hs[0] = h0
-    ru_all = np.empty((t_len, b, 2 * h3 // 3))
-    c_all = np.empty((t_len, b, h3 // 3))
+    ru_all = ws.get(name + "_ru", (t_len, b, 2 * h3 // 3))
+    c_all = ws.get(name + "_c", (t_len, b, h3 // 3))
+    tmp = ws.get("gru_tmp", (b, h3 // 3))
     for t in range(t_len):
-        hs[t + 1], ru_all[t], c_all[t] = _gru_step(g[t], hs[t], wh)
+        _gru_step(g[t], hs[t], wh, (hs[t + 1], ru_all[t], c_all[t], tmp))
     return hs, ru_all, c_all
 
 
 def _gru_backward(wh: np.ndarray, hs: np.ndarray, ru_all: np.ndarray,
-                  c_all: np.ndarray, dh: np.ndarray, dhs: np.ndarray | None = None):
+                  c_all: np.ndarray, dh: np.ndarray, ws: _Workspace,
+                  dhs: np.ndarray | None = None):
     """Backprop through the cell.
 
     dh: (B, H) gradient at the last state; dhs: (T, B, H) gradients arriving
     at each output state, if any.  Returns (dg_ru, dg_c, dwh, dh0), the input
-    contribution's gradient split into (T, B, 2H) and (T, B, H).
+    contribution's gradient split into (T, B, 2H) and (T, B, H).  dg_ru and
+    dg_c are the workspace's "dg_ru" and "dg_c", which the next backward
+    scan overwrites.
     """
     t_len, b, h_dim = c_all.shape
     wh_ru = wh[:, : 2 * h_dim]
     wh_c = wh[:, 2 * h_dim :]
-    dg_ru = np.empty_like(ru_all)
-    dg_c = np.empty_like(c_all)
+    dg_ru = ws.get("dg_ru", ru_all.shape)
+    dg_c = ws.get("dg_c", c_all.shape)
     for t in range(t_len - 1, -1, -1):
         h_prev = hs[t]
         r = ru_all[t, :, :h_dim]
@@ -276,7 +325,8 @@ def _gru_backward(wh: np.ndarray, hs: np.ndarray, ru_all: np.ndarray,
         dh += dg_ru[t] @ wh_ru.T
     # weight gradients accumulate in two large matmuls over all steps
     h_prev_all = hs[:-1].reshape(-1, h_dim)
-    s_all = ru_all[..., :h_dim].reshape(-1, h_dim) * h_prev_all  # r * h_prev
+    s_all = np.multiply(ru_all[..., :h_dim], hs[:-1], out=ws.get("s", c_all.shape))
+    s_all = s_all.reshape(-1, h_dim)  # r * h_prev
     dwh_ru = h_prev_all.T @ dg_ru.reshape(-1, 2 * h_dim)
     return dg_ru, dg_c, np.hstack((dwh_ru, s_all.T @ dg_c.reshape(-1, h_dim))), dh
 
@@ -309,20 +359,25 @@ def _token_ids(tokens: np.ndarray):
     return np.append(used, 0), inv.reshape(tokens.shape)
 
 
-def _token_sums(idx: np.ndarray, rows: int, dg_ru: np.ndarray, dg_c: np.ndarray):
+def _token_sums(idx: np.ndarray, rows: int, dg_ru: np.ndarray, dg_c: np.ndarray,
+                ws: _Workspace):
     """Gate-input gradients summed per table row, (rows, 3H); idx is the
     (T, B) row of each position.  The last (spare) row gets zero."""
     n = idx.size
-    onehot = np.zeros((rows, n))
+    onehot = ws.get("onehot", (rows, n))
+    onehot.fill(0.0)
     onehot[idx.ravel(), np.arange(n)] = 1.0
     onehot[-1] = 0.0
     return np.hstack((onehot @ dg_ru.reshape(n, -1), onehot @ dg_c.reshape(n, -1)))
 
 
-def _encoder_forward(p: Params, emb: np.ndarray, inv: np.ndarray):
+def _encoder_forward(p: Params, emb: np.ndarray, inv: np.ndarray, ws: _Workspace):
     """Training encoder over the rows ``emb`` = embed[ids] of ``_token_ids``."""
-    g_enc = (emb @ p.enc_wx + p.enc_b)[inv.T]
-    enc = _gru_forward(g_enc, p.enc_wh, np.zeros((inv.shape[0], p.config.hidden_dim)))
+    b, t_len = inv.shape
+    h_dim = p.config.hidden_dim
+    g_enc = np.take(emb @ p.enc_wx + p.enc_b, inv.T, axis=0, mode="clip",
+                    out=ws.get("g_enc", (t_len, b, 3 * h_dim)))
+    enc = _gru_forward(g_enc, p.enc_wh, np.zeros((b, h_dim)), ws, "enc")
     h_t = enc[0][-1]
     return enc, h_t @ p.w_mu + p.b_mu, h_t @ p.w_logvar + p.b_logvar
 
@@ -334,9 +389,15 @@ def encode_batch(p: Params, batch) -> tuple[np.ndarray, np.ndarray]:
     tokens = _stack_batch(batch, p.config.seq_len)
     ids, inv = _token_ids(tokens)
     table = p.embed[ids] @ p.enc_wx + p.enc_b
-    h = np.zeros((tokens.shape[0], p.config.hidden_dim))
+    b, h_dim = tokens.shape[0], p.config.hidden_dim
+    g = np.empty((b, 3 * h_dim))
+    ru = np.empty((b, 2 * h_dim))
+    c, tmp = np.empty((b, h_dim)), np.empty((b, h_dim))
+    h, h_next = np.zeros((b, h_dim)), np.empty((b, h_dim))
     for t in range(tokens.shape[1]):
-        h = _gru_step(table[inv[:, t]], h, p.enc_wh)[0]
+        np.take(table, inv[:, t], axis=0, mode="clip", out=g)
+        _gru_step(g, h, p.enc_wh, (h_next, ru, c, tmp))
+        h, h_next = h_next, h
     mu = h @ p.w_mu + p.b_mu
     logvar = h @ p.w_logvar + p.b_logvar
     return mu, np.exp(0.5 * logvar)
@@ -404,18 +465,23 @@ def gaussian_kl(mu: np.ndarray, logvar: np.ndarray) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")
 def _loss_forward(p: Params, tokens: np.ndarray, beta: float, eps: np.ndarray,
-                  want_grads: bool, keep_mask: np.ndarray | None = None):
+                  want_grads: bool, keep_mask: np.ndarray | None = None,
+                  ws: _Workspace | None = None):
     """Teacher-forced ELBO forward pass; optionally keeps the backprop cache.
 
     keep_mask, when given, is a (B, T) 0/1 or boolean array blanking decoder
     inputs (training-time input dropout); position 0 is always blank by design.
-    Gate inputs are gathered time-major from per-token tables.  Overflow is
-    not warned about: a non-finite loss raises :class:`NumericalError`.
+    Gate inputs are gathered time-major from per-token tables.  The large
+    arrays, and so the returned cache, live in ``ws`` (a fresh workspace
+    when None) until its next use, and the backward pass works in it too.
+    Overflow is not warned about: a non-finite loss raises
+    :class:`NumericalError`.
     """
+    ws = _Workspace() if ws is None else ws
     b, t_len = tokens.shape
     ids, inv = _token_ids(tokens)
     emb = p.embed[ids]
-    enc, mu, logvar = _encoder_forward(p, emb, inv)
+    enc, mu, logvar = _encoder_forward(p, emb, inv, ws)
     sigma = np.exp(0.5 * logvar)
     z = mu + sigma * eps
 
@@ -427,11 +493,12 @@ def _loss_forward(p: Params, tokens: np.ndarray, beta: float, eps: np.ndarray,
         dec_idx[keep_mask.T == 0] = ids.size - 1
     table = emb @ p.dec_wx
     table[-1] = 0.0
-    g_dec = table[dec_idx]
+    g_dec = np.take(table, dec_idx, axis=0, mode="clip",
+                    out=ws.get("g_dec", (t_len, b, table.shape[1])))
     g_dec += z @ p.dec_wz
     g_dec += p.dec_b
-    dec = _gru_forward(g_dec, p.dec_wh, np.tanh(z @ p.z_w + p.z_b))
-    logits = dec[0][1:] @ p.out_w
+    dec = _gru_forward(g_dec, p.dec_wh, np.tanh(z @ p.z_w + p.z_b), ws, "dec")
+    logits = np.matmul(dec[0][1:], p.out_w, out=ws.get("logits", (t_len, b, p.config.vocab)))
     logits += p.out_b
 
     tgt = np.take_along_axis(logits, tokens.T[..., None], axis=-1)[..., 0]
@@ -452,13 +519,15 @@ def _loss_forward(p: Params, tokens: np.ndarray, beta: float, eps: np.ndarray,
     if not want_grads:
         return loss, recon, kl, None
 
-    state = (ids, emb, inv, dec_idx, enc, dec, mu, logvar, sigma, z, ex, sumex)
+    state = (ids, emb, inv, dec_idx, enc, dec, mu, logvar, sigma, z, ex, sumex, ws)
     return loss, recon, kl, state
 
 
 def _loss_backward(p: Params, tokens: np.ndarray, beta: float, eps: np.ndarray,
                    state) -> dict[str, np.ndarray]:
-    ids, emb, inv, dec_idx, enc, dec, mu, logvar, sigma, z, ex, sumex = state
+    """Gradients from ``_loss_forward``'s cache, using its workspace for the
+    large intermediates; no returned array lives in the workspace."""
+    ids, emb, inv, dec_idx, enc, dec, mu, logvar, sigma, z, ex, sumex, ws = state
     b, t_len = tokens.shape
     cfg = p.config
     grads: dict[str, np.ndarray] = {}
@@ -476,10 +545,11 @@ def _loss_backward(p: Params, tokens: np.ndarray, beta: float, eps: np.ndarray,
     grads["out_w"] = h_flat.T @ dl_flat
     grads["out_b"] = dl_flat.sum(axis=0)
 
+    dhs = np.matmul(dlogits, p.out_w.T, out=ws.get("dhs", (t_len, b, cfg.hidden_dim)))
     dg_ru, dg_c, grads["dec_wh"], dh0 = _gru_backward(
-        p.dec_wh, *dec, np.zeros((b, cfg.hidden_dim)), dlogits @ p.out_w.T
+        p.dec_wh, *dec, np.zeros((b, cfg.hidden_dim)), ws, dhs
     )
-    dtok_dec = _token_sums(dec_idx, ids.size, dg_ru, dg_c)
+    dtok_dec = _token_sums(dec_idx, ids.size, dg_ru, dg_c, ws)
     grads["dec_wx"] = emb.T @ dtok_dec
     dg_dec_sum = np.concatenate((dg_ru.sum(axis=0), dg_c.sum(axis=0)), axis=1)
     grads["dec_wz"] = z.T @ dg_dec_sum
@@ -501,8 +571,8 @@ def _loss_backward(p: Params, tokens: np.ndarray, beta: float, eps: np.ndarray,
     grads["b_logvar"] = dlogvar.sum(axis=0)
     dh_t = dmu @ p.w_mu.T + dlogvar @ p.w_logvar.T
 
-    dg_ru, dg_c, grads["enc_wh"], _ = _gru_backward(p.enc_wh, *enc, dh_t)
-    dtok_enc = _token_sums(inv.T, ids.size, dg_ru, dg_c)
+    dg_ru, dg_c, grads["enc_wh"], _ = _gru_backward(p.enc_wh, *enc, dh_t, ws)
+    dtok_enc = _token_sums(inv.T, ids.size, dg_ru, dg_c, ws)
     grads["enc_wx"] = emb.T @ dtok_enc
     grads["enc_b"] = dtok_enc.sum(axis=0)
     d_embed = np.zeros_like(p.embed)
@@ -533,10 +603,10 @@ def elbo_loss_and_grads(p: Params, batch, beta: float, rng: np.random.Generator)
     return loss, recon, kl, grads
 
 
-def _clip_grads(grads: dict[str, np.ndarray], max_norm: float) -> None:
+def _clip_grads(grads: dict[str, np.ndarray], max_norm: float, ws: _Workspace) -> None:
     total = 0.0
     for g in grads.values():
-        total += float((g * g).sum())
+        total += float(np.multiply(g, g, out=ws.get("square", g.shape)).sum())
     norm = np.sqrt(total)
     if max_norm > 0 and norm > max_norm:
         scale = max_norm / norm
@@ -555,6 +625,7 @@ class _Adam:
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.arrays().items()}
         self.v = {k: np.zeros_like(v) for k, v in params.arrays().items()}
+        self._ws = _Workspace()
 
     def step(self, params: Params, grads: dict[str, np.ndarray]) -> None:
         self.t += 1
@@ -563,12 +634,21 @@ class _Adam:
         for name, g in grads.items():
             m = self.m[name]
             v = self.v[name]
+            tmp = self._ws.get("tmp", g.shape)
+            update = self._ws.get("update", g.shape)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(1.0 - self.beta1, g, out=tmp)
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = (m / b1c) / (np.sqrt(v / b2c) + self.eps)
-            getattr(params, name)[...] -= self.lr * update
+            np.multiply(1.0 - self.beta2, g, out=tmp)
+            tmp *= g
+            v += tmp
+            np.divide(v, b2c, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += self.eps
+            np.divide(m, b1c, out=update)
+            update /= tmp  # (m / b1c) / (sqrt(v / b2c) + eps)
+            update *= self.lr
+            getattr(params, name)[...] -= update
 
 
 def train(p: Params, corpus, cfg: TrainConfig) -> tuple[Params, list[EpochStats]]:
@@ -601,6 +681,7 @@ def train(p: Params, corpus, cfg: TrainConfig) -> tuple[Params, list[EpochStats]
 
     params = p.copy()
     opt = _Adam(params, cfg.lr)
+    ws = _Workspace()
     history: list[EpochStats] = []
     last_good = params.copy()
     step = 0
@@ -617,14 +698,14 @@ def train(p: Params, corpus, cfg: TrainConfig) -> tuple[Params, list[EpochStats]
                 keep = rng.random(batch.shape) >= cfg.input_dropout
             try:
                 loss, recon, kl, state = _loss_forward(
-                    params, batch, beta, eps, True, keep
+                    params, batch, beta, eps, True, keep, ws
                 )
             except NumericalError as err:
                 raise TrainingDiverged(
                     f"epoch {epoch}: {err}", last_good, history
                 ) from err
             grads = _loss_backward(params, batch, beta, eps, state)
-            _clip_grads(grads, cfg.grad_clip_norm)
+            _clip_grads(grads, cfg.grad_clip_norm, ws)
             opt.step(params, grads)
             step += 1
             losses.append(loss)

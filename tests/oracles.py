@@ -127,7 +127,7 @@ def reference_lowess(x, y, frac: float = 0.3, iters: int = 2, dtype=float,
         scale = np.median(np.abs(resid))
         if scales is not None:
             scales.append(float(scale))
-        if scale <= 0:
+        if scale <= 1e-12 * np.mean(np.abs(y)):
             break
         u = np.clip(resid / (6.0 * scale), -1.0, 1.0)
         delta = (1.0 - u * u) ** 2

@@ -315,6 +315,17 @@ def test_lowess_tied_points_share_one_fit():
         assert np.unique(fit[x == v]).size == 1
 
 
+def test_lowess_stops_when_local_fits_interpolate():
+    # frac * n = 2: each local fit passes through its two weighted points, so
+    # every residual is rounding noise and the bisquare passes must not act
+    rng = np.random.default_rng(14)
+    x = rng.standard_normal(40)
+    y = x + 5.0 * rng.standard_normal(40)
+    fit = lowess(x, y, frac=0.05, iters=2)
+    assert np.array_equal(fit, lowess(x, y, frac=0.05, iters=0))
+    assert np.array_equal(lowess(x[::-1], y[::-1], frac=0.05, iters=2), fit[::-1])
+
+
 @st.composite
 def _lowess_inputs(draw):
     n = draw(st.integers(5, 300))

@@ -1,3 +1,6 @@
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -417,6 +420,11 @@ def test_gradients_with_input_dropout_mask():
             assert abs(fd - gflat[i]) / max(abs(fd), abs(gflat[i]), 1e-8) < 1e-4
 
 
+# one workspace across all examples, so that a stale or unwritten buffer
+# entry left by an earlier (larger) example shows as a mismatch
+_SHARED_WS = vae._Workspace()
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     cfg=st.sampled_from([SMALL, ModelConfig(embed_dim=16, hidden_dim=24, latent_dim=4)]),
@@ -438,7 +446,7 @@ def test_loss_and_grads_equal_batch_major_reference(cfg, n, n_used, masked, seed
     tokens = tokens_using(rng, n, n_used)
     eps = rng.standard_normal((n, cfg.latent_dim))
     keep = (rng.random(tokens.shape) >= 0.3).astype(float) if masked else None
-    loss, _, _, state = vae._loss_forward(p, tokens, 0.05, eps, True, keep)
+    loss, _, _, state = vae._loss_forward(p, tokens, 0.05, eps, True, keep, _SHARED_WS)
     grads = vae._loss_backward(p, tokens, 0.05, eps, state)
     ref_loss, ref_grads = reference_loss_and_grads(p, tokens, 0.05, eps, keep)
     assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
@@ -479,6 +487,99 @@ def test_training_deterministic():
     for name, arr in pa.arrays().items():
         assert np.array_equal(arr, pb.arrays()[name]), name
     assert [h.loss for h in ha] == [h.loss for h in hb]
+
+
+def test_workspace_reuse_changes_no_weight(monkeypatch):
+    """Training with buffers reused from step to step gives the weights of
+    training with a fresh NaN-filled array for every request."""
+    seqs = tiny_corpus(64)  # 58 training rows: batches of 16, 16, 16 and 10
+    cfg = TrainConfig(epochs=2, batch=16, seed=3)
+    reused, _ = train(init_params(SMALL, 5), seqs, cfg)
+    monkeypatch.setattr(vae._Workspace, "get", lambda self, name, shape: np.full(shape, np.nan))
+    fresh, _ = train(init_params(SMALL, 5), seqs, cfg)
+    for name, arr in reused.arrays().items():
+        assert np.array_equal(arr, fresh.arrays()[name]), name
+
+
+def test_adam_step_matches_textbook_update():
+    p = with_random_biases(init_params(SMALL, 8), np.random.default_rng(8))
+    q = p.copy()
+    rng = np.random.default_rng(9)
+    opt = vae._Adam(p, 1e-3)
+    m = {k: np.zeros_like(v) for k, v in q.arrays().items()}
+    v = {k: np.zeros_like(a) for k, a in q.arrays().items()}
+    for t in range(1, 4):
+        grads = {k: rng.standard_normal(a.shape) for k, a in q.arrays().items()}
+        opt.step(p, grads)
+        for k, g in grads.items():
+            m[k] = 0.9 * m[k] + (1.0 - 0.9) * g
+            v[k] = 0.999 * v[k] + (1.0 - 0.999) * g * g
+            update = (m[k] / (1.0 - 0.9**t)) / (np.sqrt(v[k] / (1.0 - 0.999**t)) + 1e-8)
+            getattr(q, k)[...] -= 1e-3 * update
+    for k, a in p.arrays().items():
+        assert np.array_equal(a, q.arrays()[k]), k
+
+
+def _train_step(params, opt, ws, batch, rng):
+    """One step of ``train``'s inner loop."""
+    eps = rng.standard_normal((batch.shape[0], params.config.latent_dim))
+    keep = rng.random(batch.shape) >= 0.3
+    state = vae._loss_forward(params, batch, 0.005, eps, True, keep, ws)[3]
+    grads = vae._loss_backward(params, batch, 0.005, eps, state)
+    vae._clip_grads(grads, 1.0, ws)
+    opt.step(params, grads)
+
+
+# The largest rise of traced memory that one steady-state step may make.  It
+# measured 3.0 MB (mostly the gradients and the token tables) with the
+# workspace, and 19.4 MB when every step allocated its (T, B, .) arrays and
+# optimizer temporaries afresh.
+STEP_PEAK_BOUND = 4_000_000
+
+
+def test_steady_state_step_allocates_no_large_block():
+    """After two warm-up steps, a B=32 step of the default model allocates no
+    block of 1 MiB or more, and its traced memory rises by less than
+    STEP_PEAK_BOUND.  tracemalloc sees numpy's data buffers; memory is read
+    at every line, call and return, and a block allocated between two
+    readings raises the peak of that interval by at least its size, less
+    what the interval freed before it."""
+    params = init_params(ModelConfig(), 0)
+    opt = vae._Adam(params, 1e-3)
+    ws = vae._Workspace()
+    rng = np.random.default_rng(0)
+    batches = [random_tokens(rng, 32) for _ in range(3)]
+    for batch in batches[:2]:
+        _train_step(params, opt, ws, batch, rng)
+
+    largest = 0
+    level = 0
+
+    def watch(frame, event, arg):
+        nonlocal largest, level
+        current, peak = tracemalloc.get_traced_memory()
+        largest = max(largest, peak - level)
+        tracemalloc.reset_peak()
+        level = current
+        return watch
+
+    tracemalloc.start()
+    try:
+        level = tracemalloc.get_traced_memory()[0]
+        outer = sys.gettrace()
+        sys.settrace(watch)
+        try:
+            _train_step(params, opt, ws, batches[2], np.random.default_rng(1))
+        finally:
+            sys.settrace(outer)
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        _train_step(params, opt, ws, batches[0], np.random.default_rng(2))
+        step_peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert largest < 1 << 20
+    assert step_peak < STEP_PEAK_BOUND
 
 
 def test_training_does_not_mutate_input_params():
