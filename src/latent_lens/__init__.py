@@ -28,7 +28,6 @@ from .corpus import (
 from .features import FEATURE_NAMES, FeatureVector, extract_corpus_features, extract_features
 from .stats import (
     BoxplotSummary,
-    ConstantInputError,
     ContingencyTable,
     DegenerateBinningError,
     PhikConfig,
@@ -37,7 +36,6 @@ from .stats import (
     chi2,
     contingency,
     lowess,
-    pearson,
     phik,
     phik_matrix,
 )

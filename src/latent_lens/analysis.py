@@ -16,7 +16,7 @@ import numpy as np
 
 from .stats import BoxplotSummary, PhikConfig, boxplot_summary, phik_matrix
 from .stats import lowess
-from .vae import Params, encode_batch
+from .vae import Params, _stack_batch, encode_batch
 
 DEFAULT_SIGMA_THRESHOLD = 0.9
 DEFAULT_ACTIVATION_THRESHOLD = 0.1
@@ -28,16 +28,12 @@ class LatentMatrix:
 
     mus: np.ndarray  # (n, d)
     sigmas: np.ndarray  # (n, d)
-    ids: tuple[int, ...] = ()
-    skipped: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         if self.mus.shape != self.sigmas.shape or self.mus.ndim != 2:
             raise ValueError("mus and sigmas must be equal-shape (n, d) matrices")
         if not np.all(self.sigmas > 0):
             raise ValueError("sigmas must be strictly positive")
-        if not self.ids:
-            self.ids = tuple(range(self.mus.shape[0]))
 
     @property
     def n(self) -> int:
@@ -77,21 +73,12 @@ class ComparisonReport:
 
 
 def encode_corpus(params: Params, corpus, batch_size: int = 256) -> LatentMatrix:
-    """Encode a corpus row by row; sequences of the wrong length are skipped."""
-    seq_len = params.config.seq_len
-    rows = []
-    kept: list[int] = []
-    skipped: list[int] = []
-    for i, seq in enumerate(corpus):
-        toks = tuple(seq)
-        if len(toks) != seq_len:
-            skipped.append(i)
-        else:
-            kept.append(i)
-            rows.append(toks)
-    if not rows:
-        raise ValueError("no sequence in the corpus matches the model length")
-    tokens = np.array(rows, dtype=np.int64)
+    """Encode a corpus in chunks of ``batch_size`` rows.
+
+    Every sequence must have the model's length; one that does not raises
+    :class:`~latent_lens.vae.ShapeError`, as in :func:`encode_batch`.
+    """
+    tokens = _stack_batch(corpus, params.config.seq_len)
     mus = np.empty((tokens.shape[0], params.config.latent_dim))
     sigmas = np.empty_like(mus)
     bounds = list(range(0, tokens.shape[0], batch_size)) + [tokens.shape[0]]
@@ -99,7 +86,7 @@ def encode_corpus(params: Params, corpus, batch_size: int = 256) -> LatentMatrix
         del bounds[-2]  # a one-row chunk goes to gemv, whose sums round differently
     for lo, hi in zip(bounds, bounds[1:]):
         mus[lo:hi], sigmas[lo:hi] = encode_batch(params, tokens[lo:hi])
-    return LatentMatrix(mus, sigmas, tuple(kept), tuple(skipped))
+    return LatentMatrix(mus, sigmas)
 
 
 def order_by_sigma(lm: LatentMatrix) -> tuple[int, ...]:

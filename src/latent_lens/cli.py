@@ -11,9 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -30,17 +28,6 @@ class CliInputError(ValueError):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # route usage errors to exit code 1
         raise CliInputError(message)
-
-
-def worker_count() -> int:
-    n = os.cpu_count() or 1
-    cap = os.environ.get("LATENT_LENS_THREADS")
-    if cap:
-        try:
-            n = max(1, min(n, int(cap)))
-        except ValueError:
-            raise CliInputError(f"LATENT_LENS_THREADS must be an integer, got {cap!r}")
-    return n
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -193,8 +180,7 @@ def cmd_ingest(args) -> int:
         except (OSError, midi.MidiParseError) as err:
             return err
 
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        parsed = list(pool.map(parse_one, paths))
+    parsed = [parse_one(path) for path in paths]
     watch.lap("parse")
 
     entries = []
@@ -356,20 +342,27 @@ def _load_checkpoint(path: str) -> vae.Params:
         raise CliInputError(str(err))
 
 
+def _load_model_length_corpus(path: str, seq_len: int):
+    """The corpus entries whose sequences have the model's length, and the
+    number of entries dropped for another length."""
+    entries = _load_corpus_file(path)
+    kept = [(seq, tempo) for seq, tempo in entries if len(seq) == seq_len]
+    if not kept:
+        raise CliInputError(f"no sequence in {path} matches the checkpoint length")
+    return kept, len(entries) - len(kept)
+
+
 def cmd_analyze(args) -> int:
     watch = report.Stopwatch()
     params = _load_checkpoint(args.checkpoint)
-    entries = _load_corpus_file(args.corpus)
     seq_len = params.config.seq_len
-    kept = [(seq, tempo) for seq, tempo in entries if len(seq) == seq_len]
-    if not kept:
-        raise CliInputError("no corpus sequence matches the checkpoint length")
+    kept, n_skipped = _load_model_length_corpus(args.corpus, seq_len)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = report.RunManifest("analyze", vars(args))
     manifest.add_input(args.checkpoint)
     manifest.add_input(args.corpus)
-    skipped = {"corpus": len(entries) - len(kept)}
+    skipped = {"corpus": n_skipped}
     manifest.dropped["skipped_sequences"] = skipped
 
     def emit(name: str, text: str) -> None:
@@ -449,13 +442,10 @@ def cmd_analyze(args) -> int:
     series = [("music", act.music_counts), ("noise", act.noise_counts)]
     if args.random_corpus:
         manifest.add_input(args.random_corpus)
-        rand_entries = _load_corpus_file(args.random_corpus)
-        rand_seqs = [seq for seq, _ in rand_entries if len(seq) == seq_len]
-        skipped["random_corpus"] = len(rand_entries) - len(rand_seqs)
-        if not rand_seqs:
-            raise CliInputError("no random-corpus sequence matches the checkpoint")
+        rand_kept, skipped["random_corpus"] = _load_model_length_corpus(
+            args.random_corpus, seq_len)
         comp = analysis.compare_real_vs_random(
-            params, lm, rand_seqs, partition, args.activation_threshold
+            params, lm, [seq for seq, _ in rand_kept], partition, args.activation_threshold
         )
         series = [
             ("music_corpus", comp.real_activation.music_counts),
@@ -513,13 +503,11 @@ def cmd_roundtrip(args) -> int:
 
     rng = np.random.default_rng(args.seed)
     enc = vae.encode(params, seq)
-    outputs = [("greedy", vae.decode(params, enc.mu))]
-    for i in range(args.k):
-        z = vae.sample_latent(enc, rng)
-        outputs.append((f"sample_{i + 1:02d}", vae.decode(params, z)))
+    zs = [enc.mu] + [vae.sample_latent(enc, rng) for _ in range(args.k)]
+    names = ["greedy"] + [f"sample_{i + 1:02d}" for i in range(args.k)]
 
     lines = []
-    for name, out_seq in outputs:
+    for name, out_seq in zip(names, vae.decode(params, np.stack(zs))):
         lines.append(melody.to_json_line(out_seq, tempo))
         mid_path = out_dir / f"{name}.mid"
         mid_path.write_bytes(midi.write_midi(melody.detokenize(out_seq, tempo)))

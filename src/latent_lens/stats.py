@@ -1,10 +1,10 @@
 """Correlation and smoothing machinery.
 
-Provides Pearson correlation, binned contingency tables with Pearson
-chi-square, a nonlinear correlation coefficient in [0, 1] obtained by
-inverting the observed chi-square through a binned bivariate normal
-(the ``phik`` approach), robust LOWESS smoothing, and the boxplot
-summaries used by the reporting layer.
+Provides binned contingency tables with Pearson chi-square, a nonlinear
+correlation coefficient in [0, 1] obtained by inverting the observed
+chi-square through a binned bivariate normal (the ``phik`` approach),
+robust LOWESS smoothing, and the boxplot summaries used by the reporting
+layer.
 
 The phik method follows Baak et al. 2020 (arXiv:1811.11440).  Its binned
 bivariate-normal reference takes each cell as the four-corner difference of
@@ -35,10 +35,6 @@ _Z_CLIP = 8.5  # standard-normal mass beyond this is ~1e-17, below rounding
 _LOG_HALF_PI = math.log(0.5 * math.pi)
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(40)  # on [-1, 1]
 _GL_NODES, _GL_WEIGHTS = 0.5 * (_GL_X + 1.0), 0.5 * _GL_W  # on [0, 1]
-
-
-class ConstantInputError(ValueError):
-    """Correlation is undefined because an input series has zero variance."""
 
 
 class DegenerateBinningError(ValueError):
@@ -74,24 +70,6 @@ class BoxplotSummary:
     lower_whisker: float
     upper_whisker: float
     outlier_count: int
-
-
-def pearson(x, y) -> float:
-    """Sample Pearson correlation; raises on constant input."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 1 or x.shape != y.shape:
-        raise ValueError("inputs must be equal-length 1-D series")
-    if x.size < 2:
-        raise ValueError("need at least two observations")
-    xc = x - x.mean()
-    yc = y - y.mean()
-    vx = float(xc @ xc)
-    vy = float(yc @ yc)
-    if vx == 0.0 or vy == 0.0:
-        raise ConstantInputError("correlation undefined for constant series")
-    r = float(xc @ yc) / math.sqrt(vx * vy)
-    return min(1.0, max(-1.0, r))
 
 
 def _bin_series(v: np.ndarray, n_bins: int) -> np.ndarray:

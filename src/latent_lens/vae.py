@@ -23,7 +23,9 @@ applied to the hidden state before the candidate projection:
 Training and inference encoding both gather gate inputs from tables over
 the batch's distinct tokens (``_token_ids``).  Training scans time-major
 and sums its input gradients once per token; inference keeps only h and is
-bit-identical to the training encoder.
+bit-identical to the training encoder.  Decoding is greedy and batched:
+``decode`` scans all its latent rows at once, gathering each step's gate
+input from a table over the whole vocabulary.
 
 The training pass writes its large (T, B, .) arrays (gathered gate inputs,
 scan states and gates, logits and the backward scans' gradients) into a
@@ -414,48 +416,30 @@ def sample_latent(enc: LatentEncoding, rng: np.random.Generator) -> np.ndarray:
     return enc.mu + enc.sigma * rng.standard_normal(enc.mu.shape)
 
 
-def decode(
-    p: Params,
-    z: np.ndarray,
-    mode: str = "greedy",
-    temperature: float = 1.0,
-    rng: np.random.Generator | None = None,
-) -> TokenSequence:
-    """Autoregressive generation from a latent vector.
+def decode(p: Params, zs) -> list[TokenSequence]:
+    """Greedy autoregressive generation from the rows of an (n, d) latent
+    array, one sequence per row, all rows in one scan.
 
-    ``mode`` is "greedy" (argmax per step) or "sample" (softmax at the given
-    temperature; requires an rng).  The hold token is masked at step 0 so the
-    output always starts with an explicit note-on or rest.
+    Each step feeds back the argmax token.  The hold token is masked at step
+    0 so every output starts with an explicit note-on or rest.
     """
-    z = np.asarray(z, dtype=float)
+    zs = np.asarray(zs, dtype=float)
     cfg = p.config
-    if z.shape != (cfg.latent_dim,):
-        raise ShapeError(f"z must have shape ({cfg.latent_dim},), got {z.shape}")
-    if mode not in ("greedy", "sample"):
-        raise ValueError(f"unknown decode mode {mode!r}")
-    if mode == "sample" and rng is None:
-        raise ValueError("sample mode requires an rng")
-    h = np.tanh(z @ p.z_w + p.z_b)
-    gz = z @ p.dec_wz + p.dec_b
-    x = np.zeros(cfg.embed_dim)
-    tokens = []
+    if zs.ndim != 2 or zs.shape[1] != cfg.latent_dim:
+        raise ShapeError(f"zs must have shape (n, {cfg.latent_dim}), got {zs.shape}")
+    table = p.embed @ p.dec_wx
+    gz = zs @ p.dec_wz + p.dec_b
+    h = np.tanh(zs @ p.z_w + p.z_b)
+    tokens = np.empty((zs.shape[0], cfg.seq_len), dtype=np.int64)
+    g = gz  # step 0 reads no token
     for t in range(cfg.seq_len):
-        h = _gru_step(x @ p.dec_wx + gz, h, p.dec_wh)[0]
+        h = _gru_step(g, h, p.dec_wh)[0]
         logits = h @ p.out_w + p.out_b
         if t == 0:
-            logits = logits.copy()
-            logits[HOLD] = -np.inf
-        if mode == "greedy":
-            tok = int(np.argmax(logits))
-        else:
-            scaled = logits / max(temperature, 1e-8)
-            scaled = scaled - scaled.max()
-            probs = np.exp(scaled)
-            probs /= probs.sum()
-            tok = int(rng.choice(cfg.vocab, p=probs))
-        tokens.append(tok)
-        x = p.embed[tok]
-    return TokenSequence(tuple(tokens), cfg.bars)
+            logits[:, HOLD] = -np.inf
+        tokens[:, t] = np.argmax(logits, axis=1)
+        g = table[tokens[:, t]] + gz
+    return [TokenSequence(tuple(row), cfg.bars) for row in tokens.tolist()]
 
 
 def gaussian_kl(mu: np.ndarray, logvar: np.ndarray) -> np.ndarray:

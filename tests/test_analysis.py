@@ -155,13 +155,13 @@ def test_encode_corpus_matches_encode_and_skips():
     rng = np.random.default_rng(2)
     seqs = [random_seq(rng) for _ in range(12)]
     bad = TokenSequence(tuple(random_tokens(rng, 1, 256)[0]), 16)
-    lm = encode_corpus(p, seqs + [bad])
+    lm = encode_corpus(p, seqs)
     assert lm.n == 12
-    assert lm.skipped == (12,)
     enc = vae.encode(p, seqs[4])
     assert np.allclose(lm.mus[4], enc.mu)
     assert np.allclose(lm.sigmas[4], enc.sigma)
-    assert lm.ids[4] == 4
+    with pytest.raises(vae.ShapeError):
+        encode_corpus(p, seqs + [bad])
 
 
 def test_encode_corpus_independent_of_batch_size():

@@ -291,6 +291,35 @@ def test_roundtrip_outputs(tiny_run, tmp_path):
     assert len((out2 / "roundtrip.jsonl").read_text().strip().splitlines()) == 1
 
 
+def test_roundtrip_decodes_mean_and_draws_in_one_call(tiny_run, tmp_path, monkeypatch):
+    _, corpus_path, _, train_dir, _ = tiny_run
+    line = corpus_path.read_text().splitlines()[0]
+    one = tmp_path / "one.jsonl"
+    one.write_text(line + "\n")
+    decode = vae.decode
+    calls = []
+
+    def recording_decode(p, zs):
+        calls.append(np.array(zs))
+        return decode(p, zs)
+
+    monkeypatch.setattr(vae, "decode", recording_decode)
+    out_dir = tmp_path / "rt"
+    assert run("roundtrip", "--checkpoint", str(train_dir / "checkpoint.npz"),
+               "--melody", str(one), "--out-dir", str(out_dir), "-k", "2",
+               "--seed", "5") == 0
+
+    params = vae.load_checkpoint(train_dir / "checkpoint.npz")
+    seq, tempo = melody.from_json_line(line)
+    enc = vae.encode(params, seq)
+    rng = np.random.default_rng(5)
+    draws = [enc.mu + enc.sigma * rng.standard_normal(enc.mu.shape) for _ in range(2)]
+    zs = np.stack([enc.mu, *draws])
+    assert len(calls) == 1 and np.array_equal(calls[0], zs)
+    expected = [melody.to_json_line(s, tempo) for s in decode(params, zs)]
+    assert (out_dir / "roundtrip.jsonl").read_text().splitlines() == expected
+
+
 def test_config_file_defaults_and_override(tmp_path):
     cfg = tmp_path / "gen.cfg"
     cfg.write_text("# generation defaults\nkind=random\nn=30\nseed=9\n")
@@ -308,11 +337,3 @@ def test_config_file_defaults_and_override(tmp_path):
 
 def test_unknown_command_is_input_error():
     assert run("frobnicate") == 1
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("LATENT_LENS_THREADS", "1")
-    assert cli.worker_count() == 1
-    monkeypatch.setenv("LATENT_LENS_THREADS", "not-a-number")
-    with pytest.raises(cli.CliInputError):
-        cli.worker_count()

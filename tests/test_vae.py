@@ -270,9 +270,9 @@ def test_sample_latent_mean_concentrates():
 
 def test_decode_structural_validity():
     p = init_params(SMALL, 4)
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        seq = decode(p, rng.standard_normal(6))
+    seqs = decode(p, np.random.default_rng(2).standard_normal((20, 6)))
+    assert len(seqs) == 20
+    for seq in seqs:
         assert len(seq) == 32
         assert seq.tokens[0] != HOLD
         assert all(0 <= t < 130 for t in seq)
@@ -280,25 +280,20 @@ def test_decode_structural_validity():
 
 def test_decode_greedy_deterministic():
     p = init_params(SMALL, 4)
-    z = np.random.default_rng(3).standard_normal(6)
-    assert decode(p, z) == decode(p, z)
+    zs = np.random.default_rng(3).standard_normal((3, 6))
+    assert decode(p, zs) == decode(p, zs)
 
 
-def test_decode_sample_seeded():
+def test_decode_rejects_bad_shapes():
     p = init_params(SMALL, 4)
-    z = np.random.default_rng(3).standard_normal(6)
-    a = decode(p, z, mode="sample", temperature=1.0, rng=np.random.default_rng(1))
-    b = decode(p, z, mode="sample", temperature=1.0, rng=np.random.default_rng(1))
-    assert a == b
-    with pytest.raises(ValueError):
-        decode(p, z, mode="sample")
     with pytest.raises(ShapeError):
-        decode(p, np.zeros(7))
+        decode(p, np.zeros(6))  # one latent must still be a (1, d) row
+    with pytest.raises(ShapeError):
+        decode(p, np.zeros((2, 7)))
 
 
-def _reference_decode(p, z, rng=None):
-    """decode() written out with the cell equations inline: greedy without an
-    rng, else sampled at temperature 1."""
+def _reference_decode(p, z):
+    """Greedy decoding of one latent vector, with the cell equations inline."""
     h_dim = p.config.hidden_dim
     wh, gz = p.dec_wh, z @ p.dec_wz + p.dec_b
     h = np.tanh(z @ p.z_w + p.z_b)
@@ -313,11 +308,7 @@ def _reference_decode(p, z, rng=None):
         logits = h @ p.out_w + p.out_b
         if t == 0:
             logits[HOLD] = -np.inf
-        if rng is None:
-            tok = int(np.argmax(logits))
-        else:
-            probs = np.exp(logits - logits.max())
-            tok = int(rng.choice(VOCAB_SIZE, p=probs / probs.sum()))
+        tok = int(np.argmax(logits))
         tokens.append(tok)
         x = p.embed[tok]
     return tuple(tokens)
@@ -329,12 +320,11 @@ def test_decode_matches_reference_loop(cfg):
     rng = np.random.default_rng(7)
     for name in ("z_b", "dec_b", "out_b"):  # init leaves biases at zero
         getattr(p, name)[...] = rng.normal(0.0, 0.5, getattr(p, name).shape)
-    for _ in range(5):
-        z = rng.standard_normal(cfg.latent_dim)
-        assert decode(p, z).tokens == _reference_decode(p, z)
-        seed = int(rng.integers(2**31))
-        got = decode(p, z, mode="sample", temperature=1.0, rng=np.random.default_rng(seed))
-        assert got.tokens == _reference_decode(p, z, np.random.default_rng(seed))
+    zs = rng.standard_normal((8, cfg.latent_dim))
+    got = decode(p, zs)
+    assert len(got) == len(zs)
+    for seq, z in zip(got, zs):
+        assert seq.tokens == _reference_decode(p, z)
 
 
 # ---------------------------------------------------------------- loss
