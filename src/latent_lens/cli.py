@@ -174,40 +174,44 @@ def cmd_ingest(args) -> int:
         require_four_four=not args.allow_any_meter,
     )
 
-    def parse_one(path: Path):
+    # each file is read once: the bytes parsed are the bytes hashed
+    manifest = report.RunManifest("ingest", vars(args))
+    manifest.dropped = dropped = {"unreadable": 0, "unparseable": 0, "invalid_melody": 0}
+    parsed = []
+    for path in paths:
         try:
-            return midi.parse_midi(path.read_bytes())
-        except (OSError, midi.MidiParseError) as err:
-            return err
-
-    parsed = [parse_one(path) for path in paths]
+            data = path.read_bytes()
+        except OSError as err:
+            log.warning("skipping %s: %s", path, err)
+            dropped["unreadable"] += 1
+            continue
+        manifest.add_input(path, data)
+        try:
+            parsed.append((path, midi.parse_midi(data)))
+        except midi.MidiParseError as err:
+            log.warning("skipping %s: %s", path, err)
+            dropped["unparseable"] += 1
     watch.lap("parse")
 
     entries = []
-    n_ok = 0
-    for path, result in zip(paths, parsed):
-        if isinstance(result, Exception):
-            log.warning("skipping %s: %s", path, result)
-            continue
+    for path, result in parsed:
         try:
             melodies = midi.extract_melodies(result, cfg)
         except melody.InvalidMelody as err:
             log.warning("skipping %s: %s", path, err)
+            dropped["invalid_melody"] += 1
             continue
         log.info("%s: %d melodies", path, len(melodies))
         entries.extend(melody.melodies_to_entries(melodies))
-        n_ok += 1
     watch.lap("extract")
     if not entries:
+        n_ok = len(parsed) - dropped["invalid_melody"]
         raise CliInputError(
             f"no melodies extracted from {n_ok}/{len(paths)} parseable files"
         )
     melody.save_corpus(args.out_corpus, entries)
     watch.lap("write")
 
-    manifest = report.RunManifest("ingest", vars(args))
-    for path in paths:
-        manifest.add_input(path)
     manifest.add_output(args.out_corpus)
     manifest.timings_s = watch.laps
     manifest.write(str(args.out_corpus) + ".manifest.json")
@@ -475,8 +479,8 @@ def cmd_analyze(args) -> int:
         "noise": list(partition.noise),
         "n_melodies": lm.n,
         "phik_bins": args.phik_bins,
-        "checkpoint_sha256": report.sha256_file(args.checkpoint),
-        "corpus_sha256": report.sha256_file(args.corpus),
+        "checkpoint_sha256": manifest.input_hashes[str(args.checkpoint)],
+        "corpus_sha256": manifest.input_hashes[str(args.corpus)],
     }
     emit("partition.json", json.dumps(partition_payload, indent=2) + "\n")
     manifest.timings_s = watch.laps

@@ -5,12 +5,19 @@ delta times; meta and sysex events it does not model are preserved as opaque
 ``Other`` events.  Extraction reduces each track to a monophonic line, snaps
 it to the 16th-note grid, and cuts it into non-overlapping windows of a fixed
 bar count.  Writing emits format 0 at 480 ticks per quarter.
+
+Each stage is one pass: the parser reads a track in a single loop over its
+events, and extraction pairs a track's notes in one pass over its events,
+then makes one pass over the onset-sorted notes for each of the monophonic
+reduction, the quantization and the window cut.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter, itemgetter
 
 from .melody import (
     STEPS_PER_BAR,
@@ -114,46 +121,43 @@ def _require(data: bytes, pos: int, count: int, what: str) -> None:
         raise MidiParseError(f"truncated {what}", pos)
 
 
-_CHANNEL_DATA_BYTES = {0x80: 2, 0x90: 2, 0xA0: 2, 0xB0: 2, 0xC0: 1, 0xD0: 1, 0xE0: 2}
+def _channel_kind(key: int) -> EventKind:
+    """The event a channel message stands for, from its bytes packed big-endian
+    into one int: status and one data byte, or status and two."""
+    if key < 0x10000:
+        return Other(key.to_bytes(2, "big"))
+    status, d1, d2 = key >> 16, (key >> 8) & 0x7F, key & 0x7F
+    hi = status & 0xF0
+    if hi == 0x90 and d2:
+        return NoteOn(status & 0x0F, d1, d2)
+    if hi == 0x80 or hi == 0x90:
+        return NoteOff(status & 0x0F, d1)
+    return Other(key.to_bytes(3, "big"))
 
 
 def _parse_track(data: bytes, start: int, end: int) -> list[MidiEvent]:
+    # One loop iteration per event.  The common cases (a one-byte delta, a
+    # channel message seen before in the track) call no helper; the bounds
+    # checks are _require's, inline.  Event kinds are immutable, so equal
+    # channel messages share one object.
     events: list[MidiEvent] = []
+    kinds: dict[int, EventKind] = {}
+    append = events.append
+    size = len(data)
     pos = start
     tick = 0
     running: int | None = None
     while pos < end:
-        delta, pos = _read_vlq(data, pos, end)
-        tick += delta
-        _require(data, pos, 1, "event")
-        status = data[pos]
-        if status == 0xFF:
-            _require(data, pos, 2, "meta event")
-            meta_type = data[pos + 1]
-            length, body = _read_vlq(data, pos + 2, end)
-            _require(data, body, length, "meta event payload")
-            payload = data[body : body + length]
-            pos = body + length
-            if meta_type == 0x2F:  # end of track
-                break
-            if meta_type == 0x51 and length == 3:
-                us = (payload[0] << 16) | (payload[1] << 8) | payload[2]
-                if us == 0:
-                    raise MidiParseError("zero tempo", body)
-                events.append(MidiEvent(tick, TempoChange(us)))
-            elif meta_type == 0x58 and length >= 2:
-                events.append(
-                    MidiEvent(tick, TimeSignature(payload[0], 1 << payload[1]))
-                )
-            else:
-                events.append(MidiEvent(tick, Other(bytes([status, meta_type]) + payload)))
-        elif status in (0xF0, 0xF7):
-            length, body = _read_vlq(data, pos + 1, end)
-            _require(data, body, length, "sysex payload")
-            events.append(MidiEvent(tick, Other(data[pos : body + length])))
-            pos = body + length
-            running = None  # sysex cancels running status
+        delta = data[pos]
+        if delta < 0x80:
+            pos += 1
         else:
+            delta, pos = _read_vlq(data, pos, end)
+        tick += delta
+        if pos >= size:
+            raise MidiParseError("truncated event", pos)
+        status = data[pos]
+        if status < 0xF0:
             if status & 0x80:
                 running = status
                 pos += 1
@@ -161,24 +165,58 @@ def _parse_track(data: bytes, start: int, end: int) -> list[MidiEvent]:
                 raise MidiParseError("data byte with no running status", pos)
             else:
                 status = running
-            hi = status & 0xF0
-            nbytes = _CHANNEL_DATA_BYTES.get(hi)
-            if nbytes is None:
-                raise MidiParseError(f"unsupported status byte 0x{status:02x}", pos)
-            _require(data, pos, nbytes, "channel event data")
-            for k in range(pos, pos + nbytes):
-                if data[k] & 0x80:
-                    raise MidiParseError(f"channel data byte 0x{data[k]:02x} >= 0x80", k)
-            d1 = data[pos]
-            d2 = data[pos + 1] if nbytes == 2 else 0
-            pos += nbytes
-            channel = status & 0x0F
-            if hi == 0x90 and d2 > 0:
-                events.append(MidiEvent(tick, NoteOn(channel, d1, d2)))
-            elif hi == 0x80 or (hi == 0x90 and d2 == 0):
-                events.append(MidiEvent(tick, NoteOff(channel, d1)))
+            if (status & 0xE0) == 0xC0:  # program change, channel pressure: one data byte
+                if pos >= size:
+                    raise MidiParseError("truncated channel event data", pos)
+                d1 = data[pos]
+                if d1 & 0x80:
+                    raise MidiParseError(f"channel data byte 0x{d1:02x} >= 0x80", pos)
+                pos += 1
+                key = (status << 8) | d1
             else:
-                events.append(MidiEvent(tick, Other(bytes([status, d1, d2][: 1 + nbytes]))))
+                if pos + 2 > size:
+                    raise MidiParseError("truncated channel event data", pos)
+                d1 = data[pos]
+                d2 = data[pos + 1]
+                if (d1 | d2) & 0x80:
+                    if d1 & 0x80:
+                        raise MidiParseError(f"channel data byte 0x{d1:02x} >= 0x80", pos)
+                    raise MidiParseError(f"channel data byte 0x{d2:02x} >= 0x80", pos + 1)
+                pos += 2
+                key = (status << 16) | (d1 << 8) | d2
+            kind = kinds.get(key)
+            if kind is None:
+                kind = kinds[key] = _channel_kind(key)
+            append(MidiEvent(tick, kind))
+        elif status == 0xFF:
+            if pos + 2 > size:
+                raise MidiParseError("truncated meta event", pos)
+            meta_type = data[pos + 1]
+            length, body = _read_vlq(data, pos + 2, end)
+            pos = body + length
+            if pos > size:
+                raise MidiParseError("truncated meta event payload", body)
+            if meta_type == 0x2F:  # end of track
+                break
+            payload = data[body:pos]
+            if meta_type == 0x51 and length == 3:
+                us = (payload[0] << 16) | (payload[1] << 8) | payload[2]
+                if us == 0:
+                    raise MidiParseError("zero tempo", body)
+                append(MidiEvent(tick, TempoChange(us)))
+            elif meta_type == 0x58 and length >= 2:
+                append(MidiEvent(tick, TimeSignature(payload[0], 1 << payload[1])))
+            else:
+                append(MidiEvent(tick, Other(bytes((status, meta_type)) + payload)))
+        elif status == 0xF0 or status == 0xF7:
+            length, body = _read_vlq(data, pos + 1, end)
+            if body + length > size:
+                raise MidiParseError("truncated sysex payload", body)
+            append(MidiEvent(tick, Other(data[pos : body + length])))
+            pos = body + length
+            running = None  # sysex cancels running status
+        else:
+            raise MidiParseError(f"unsupported status byte 0x{status:02x}", pos + 1)
     return events
 
 
@@ -217,83 +255,83 @@ def parse_midi(data: bytes) -> MidiFile:
     return MidiFile(fmt, division, tracks)
 
 
-@dataclass
-class _RawNote:
-    onset: int  # ticks
-    off: int
-    pitch: int
+# A note is a mutable [onset, off, pitch] list: ticks after collection, grid
+# steps after quantization.
 
 
-def _collect_notes(track: list[MidiEvent]) -> list[_RawNote]:
+def _collect_notes(track: list[MidiEvent]) -> list[list[int]]:
     """Pair note-ons with note-offs, in stream order; percussion is skipped."""
-    notes: list[_RawNote] = []
-    open_notes: dict[tuple[int, int], _RawNote] = {}
+    notes: list[list[int]] = []
+    open_notes: dict[tuple[int, int], list[int]] = {}
     last_tick = 0
     for ev in track:
-        last_tick = max(last_tick, ev.tick)
-        if isinstance(ev.kind, NoteOn):
-            if ev.kind.channel == PERCUSSION_CHANNEL:
+        tick = ev.tick
+        if tick > last_tick:
+            last_tick = tick
+        kind = ev.kind
+        if isinstance(kind, NoteOn):
+            if kind.channel == PERCUSSION_CHANNEL:
                 continue
-            key = (ev.kind.channel, ev.kind.pitch)
-            if key in open_notes:
-                open_notes[key].off = ev.tick  # retrigger closes the old note
-            note = _RawNote(ev.tick, -1, ev.kind.pitch)
+            key = (kind.channel, kind.pitch)
+            old = open_notes.get(key)
+            if old is not None:
+                old[1] = tick  # retrigger closes the old note
+            note = [tick, -1, kind.pitch]
             notes.append(note)
             open_notes[key] = note
-        elif isinstance(ev.kind, NoteOff):
-            key = (ev.kind.channel, ev.kind.pitch)
-            note = open_notes.pop(key, None)
-            if note is not None and note.off < 0:
-                note.off = ev.tick
+        elif isinstance(kind, NoteOff):
+            note = open_notes.pop((kind.channel, kind.pitch), None)
+            if note is not None:
+                note[1] = tick
     for note in open_notes.values():
-        if note.off < 0:
-            note.off = last_tick
-    return [n for n in notes if n.off > n.onset]
+        note[1] = last_tick
+    return [n for n in notes if n[1] > n[0]]
 
 
-def _monophonic(notes: list[_RawNote]) -> list[_RawNote]:
-    """Keep the most recently started note, truncating whatever it overlaps."""
-    notes = sorted(enumerate(notes), key=lambda p: (p[1].onset, p[0]))
-    line: list[_RawNote] = []
-    for _, note in notes:
-        while line and line[-1].off > note.onset:
-            line[-1].off = note.onset
-            if line[-1].off <= line[-1].onset:
+def _later_wins(notes: list[list[int]]) -> list[list[int]]:
+    """Resolve overlaps among onset-ordered notes: each note truncates the one
+    sounding before it, which is dropped if nothing of it is left."""
+    line: list[list[int]] = []
+    for note in notes:
+        onset = note[0]
+        while line and line[-1][1] > onset:
+            prev = line[-1]
+            prev[1] = onset
+            if onset <= prev[0]:
                 line.pop()
             else:
                 break
-        line.append(_RawNote(note.onset, note.off, note.pitch))
+        line.append(note)
     return line
 
 
-def _quantize(notes: list[_RawNote], ticks_per_quarter: int) -> list[_RawNote]:
+def _monophonic(notes: list[list[int]]) -> list[list[int]]:
+    """Keep the most recently started note, truncating whatever it overlaps."""
+    notes.sort(key=itemgetter(0))  # stable: same-onset notes keep stream order
+    return _later_wins(notes)
+
+
+def _quantize(notes: list[list[int]], ticks_per_quarter: int) -> list[list[int]]:
     """Snap onsets/offsets to the nearest 16th step; sub-half-step notes drop."""
     step_ticks = ticks_per_quarter / STEPS_PER_QUARTER
-    quantized: list[_RawNote] = []
-    for note in notes:
-        onset = int(note.onset / step_ticks + 0.5)
-        off = int(note.off / step_ticks + 0.5)
-        if off <= onset:
-            continue
-        quantized.append(_RawNote(onset, off, note.pitch))
-    # rounding can reintroduce overlaps; resolve in favour of the later note
-    resolved: list[_RawNote] = []
-    for note in quantized:
-        while resolved and resolved[-1].off > note.onset:
-            resolved[-1].off = note.onset
-            if resolved[-1].off <= resolved[-1].onset:
-                resolved.pop()
-            else:
-                break
-        resolved.append(note)
-    return resolved
+    quantized = []
+    for onset, off, pitch in notes:
+        onset = int(onset / step_ticks + 0.5)
+        off = int(off / step_ticks + 0.5)
+        if off > onset:
+            quantized.append([onset, off, pitch])
+    # rounding can reintroduce overlaps
+    return _later_wins(quantized)
 
 
 def _file_tempo_qpm(file: MidiFile) -> float:
+    """The earliest tempo of the first track that has one (stream order
+    breaks ties), else 120 qpm."""
     for track in file.tracks:
-        for ev in sorted(track, key=lambda e: e.tick):
-            if isinstance(ev.kind, TempoChange):
-                return 60_000_000.0 / ev.kind.microseconds_per_quarter
+        tempos = [ev for ev in track if isinstance(ev.kind, TempoChange)]
+        if tempos:
+            first = min(tempos, key=attrgetter("tick"))
+            return 60_000_000.0 / first.kind.microseconds_per_quarter
     return 60_000_000.0 / DEFAULT_TEMPO_US
 
 
@@ -324,20 +362,21 @@ def extract_melodies(file: MidiFile, cfg: ExtractionConfig | None = None) -> lis
         if len(melodies) >= cfg.max_melodies_per_file:
             break
         notes = _quantize(_monophonic(_collect_notes(track)), file.ticks_per_quarter)
-        if not notes:
-            continue
-        last_end = max(n.off for n in notes)
-        for lo in range(0, last_end, window):
+        # one pass over the onset-ordered notes, grouped by window; notes
+        # before step 0 belong to no window
+        windows = groupby((n for n in notes if n[0] >= 0), key=lambda n: n[0] // window)
+        for k, group in windows:
             if len(melodies) >= cfg.max_melodies_per_file:
                 break
-            hi = lo + window
-            spans = [
-                NoteSpan(n.pitch, n.onset - lo, min(n.off, hi) - n.onset)
-                for n in notes
-                if lo <= n.onset < hi
-            ]
-            if len(spans) >= cfg.min_notes:
-                melodies.append(Melody(tuple(spans), cfg.bars, tempo_qpm))
+            group = list(group)
+            if len(group) >= cfg.min_notes:
+                lo = k * window
+                hi = lo + window
+                spans = tuple(
+                    NoteSpan(pitch, onset - lo, min(off, hi) - onset)
+                    for onset, off, pitch in group
+                )
+                melodies.append(Melody(spans, cfg.bars, tempo_qpm))
     return melodies
 
 

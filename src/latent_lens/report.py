@@ -2,8 +2,9 @@
 figures; SVGs are derived views.  Every command writes a manifest recording
 the tool version, the config snapshot, content hashes of its inputs, the
 output file list, wall-clock timings, the process's peak resident memory,
-counts of what the run left out (``analyze``: skipped sequences, degenerate
-feature values, NaN phik cells) and, for a run that failed, why, so results
+counts of what the run left out (``ingest``: files unreadable, unparseable
+or with an invalid melody; ``analyze``: skipped sequences, degenerate feature
+values, NaN phik cells) and, for a run that failed, why, so results
 can be regenerated."""
 
 from __future__ import annotations
@@ -77,8 +78,11 @@ class RunManifest:
     error: str | None = None  # why the command failed, if it did
     dropped: dict = field(default_factory=dict)  # counts of what a run left out
 
-    def add_input(self, path: str | Path) -> None:
-        self.input_hashes[str(path)] = sha256_file(path)
+    def add_input(self, path: str | Path, data: bytes | None = None) -> None:
+        """Record the SHA-256 of an input: of ``data``, the bytes the command
+        already read from ``path``, if given, else of the file at ``path``."""
+        digest = sha256_file(path) if data is None else hashlib.sha256(data).hexdigest()
+        self.input_hashes[str(path)] = digest
 
     def add_output(self, path: str | Path) -> None:
         self.outputs.append(str(path))

@@ -4,16 +4,39 @@
 plain numpy calls per feature; ``reference_lowess`` fits every point with a
 dense (n, n) weight matrix.  Both are the straightforward forms that the
 corpus-wide feature pass and the distinct-value LOWESS replace.
+``reference_parse_midi`` reads each track event by event through the generic
+helpers, and ``reference_extract_melodies`` rebuilds its notes at every stage
+and rescans all of a track's notes for each window: the forms that the tight
+track loop and the single-pass extractor replace.  ``reference_phik`` computes
+every term of the bivariate-normal grid afresh at each bisection step, where
+``phik`` computes the rho-free terms of a pair's grid once.
 """
 
 from __future__ import annotations
 
 import math
+import struct
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr
 
+from latent_lens import stats
 from latent_lens.features import ARPEGGIATION_INTERVALS, FEATURE_NAMES
-from latent_lens.melody import Melody, step_seconds
+from latent_lens.melody import STEPS_PER_BAR, STEPS_PER_QUARTER, Melody, NoteSpan, step_seconds
+from latent_lens.midi import (
+    DEFAULT_TEMPO_US,
+    PERCUSSION_CHANNEL,
+    ExtractionConfig,
+    MidiEvent,
+    MidiFile,
+    MidiParseError,
+    NoteOff,
+    NoteOn,
+    Other,
+    TempoChange,
+    TimeSignature,
+)
 
 
 def _most_common(values, tie_key) -> int:
@@ -132,3 +155,314 @@ def reference_lowess(x, y, frac: float = 0.3, iters: int = 2, dtype=float,
         u = np.clip(resid / (6.0 * scale), -1.0, 1.0)
         delta = (1.0 - u * u) ** 2
     return yest
+
+
+def reference_bvn_cell_probs(rho: float, row_edges, col_edges) -> np.ndarray:
+    """``stats.bvn_cell_probs`` computing every term of the grid per call.
+
+    ``row_edges`` / ``col_edges`` are strictly increasing arrays of standard
+    normal quantiles (+-inf allowed at the ends; edges are clipped to
+    +-``_Z_CLIP``).  Returns an (r, c) matrix whose entries integrate the
+    density with correlation ``rho`` over each rectangle, as four-corner
+    differences of the CDF on the grid of edges.
+    """
+    if not -1.0 < rho < 1.0:
+        raise ValueError(f"correlation must lie in (-1, 1), got {rho}")
+    row_edges = np.asarray(row_edges, dtype=float)
+    col_edges = np.asarray(col_edges, dtype=float)
+    if row_edges.ndim != 1 or col_edges.ndim != 1:
+        raise ValueError("edges must be 1-D")
+    if np.any(np.diff(row_edges) <= 0) or np.any(np.diff(col_edges) <= 0):
+        raise ValueError("edges must be strictly increasing")
+    a = np.clip(row_edges, -stats._Z_CLIP, stats._Z_CLIP)
+    b = np.clip(col_edges, -stats._Z_CLIP, stats._Z_CLIP)
+    # t = sign(rho) * (pi/2 - u) with u = exp(v), v from log(acos|rho|) to
+    # log(pi/2); the Jacobian |dt/dv| is u
+    v_lo = math.log(math.acos(abs(rho)))
+    width = stats._LOG_HALF_PI - v_lo
+    u = np.exp(v_lo + width * stats._GL_NODES)
+    sign = math.copysign(1.0, rho)
+    x, y = a[:, None, None], b[None, :, None]  # broadcast to (corner, corner, node)
+    expo = (x * x + y * y - 2.0 * sign * x * y * np.cos(u)) / (2.0 * np.sin(u) ** 2)
+    integral = sign * width * (np.exp(-expo) @ (u * stats._GL_WEIGHTS))
+    cdf = np.outer(ndtr(a), ndtr(b)) + integral / (2.0 * math.pi)
+    return cdf[1:, 1:] - cdf[:-1, 1:] - cdf[1:, :-1] + cdf[:-1, :-1]
+
+
+def reference_phik(x, y, cfg: stats.PhikConfig | None = None) -> float:
+    """``stats.phik`` with each chi-square evaluated by ``reference_bvn_cell_probs``."""
+    cfg = cfg or stats.PhikConfig()
+    table = stats.contingency(x, y, cfg)
+    observed = stats.chi2(table)
+    if observed <= 0.0:
+        return 0.0
+    counts = np.asarray(table.counts, dtype=float)
+    n = counts.sum()
+    p_row = counts.sum(axis=1) / n
+    p_col = counts.sum(axis=0) / n
+    row_edges = stats._marginal_z_edges(p_row)
+    col_edges = stats._marginal_z_edges(p_col)
+
+    def curve(rho: float) -> float:
+        q = reference_bvn_cell_probs(rho, row_edges, col_edges)
+        indep = np.outer(p_row, p_col)
+        return float(n * (((q - indep) ** 2) / indep).sum())
+
+    hi = 1.0 - cfg.rho_tol
+    if observed >= curve(hi):
+        return 1.0
+    lo = 0.0
+    while hi - lo > cfg.rho_tol:
+        mid = 0.5 * (lo + hi)
+        if curve(mid) < observed:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _read_vlq(data: bytes, pos: int, end: int) -> tuple[int, int]:
+    """Variable-length quantity; returns (value, next position)."""
+    value = 0
+    for n in range(4):
+        if pos >= end:
+            raise MidiParseError("truncated variable-length quantity", pos)
+        byte = data[pos]
+        pos += 1
+        value = (value << 7) | (byte & 0x7F)
+        if not byte & 0x80:
+            return value, pos
+    raise MidiParseError("variable-length quantity longer than 4 bytes", pos)
+
+
+def _require(data: bytes, pos: int, count: int, what: str) -> None:
+    if pos + count > len(data):
+        raise MidiParseError(f"truncated {what}", pos)
+
+
+_CHANNEL_DATA_BYTES = {0x80: 2, 0x90: 2, 0xA0: 2, 0xB0: 2, 0xC0: 1, 0xD0: 1, 0xE0: 2}
+
+
+def _parse_track(data: bytes, start: int, end: int) -> list[MidiEvent]:
+    events: list[MidiEvent] = []
+    pos = start
+    tick = 0
+    running: int | None = None
+    while pos < end:
+        delta, pos = _read_vlq(data, pos, end)
+        tick += delta
+        _require(data, pos, 1, "event")
+        status = data[pos]
+        if status == 0xFF:
+            _require(data, pos, 2, "meta event")
+            meta_type = data[pos + 1]
+            length, body = _read_vlq(data, pos + 2, end)
+            _require(data, body, length, "meta event payload")
+            payload = data[body : body + length]
+            pos = body + length
+            if meta_type == 0x2F:  # end of track
+                break
+            if meta_type == 0x51 and length == 3:
+                us = (payload[0] << 16) | (payload[1] << 8) | payload[2]
+                if us == 0:
+                    raise MidiParseError("zero tempo", body)
+                events.append(MidiEvent(tick, TempoChange(us)))
+            elif meta_type == 0x58 and length >= 2:
+                events.append(
+                    MidiEvent(tick, TimeSignature(payload[0], 1 << payload[1]))
+                )
+            else:
+                events.append(MidiEvent(tick, Other(bytes([status, meta_type]) + payload)))
+        elif status in (0xF0, 0xF7):
+            length, body = _read_vlq(data, pos + 1, end)
+            _require(data, body, length, "sysex payload")
+            events.append(MidiEvent(tick, Other(data[pos : body + length])))
+            pos = body + length
+            running = None  # sysex cancels running status
+        else:
+            if status & 0x80:
+                running = status
+                pos += 1
+            elif running is None:
+                raise MidiParseError("data byte with no running status", pos)
+            else:
+                status = running
+            hi = status & 0xF0
+            nbytes = _CHANNEL_DATA_BYTES.get(hi)
+            if nbytes is None:
+                raise MidiParseError(f"unsupported status byte 0x{status:02x}", pos)
+            _require(data, pos, nbytes, "channel event data")
+            for k in range(pos, pos + nbytes):
+                if data[k] & 0x80:
+                    raise MidiParseError(f"channel data byte 0x{data[k]:02x} >= 0x80", k)
+            d1 = data[pos]
+            d2 = data[pos + 1] if nbytes == 2 else 0
+            pos += nbytes
+            channel = status & 0x0F
+            if hi == 0x90 and d2 > 0:
+                events.append(MidiEvent(tick, NoteOn(channel, d1, d2)))
+            elif hi == 0x80 or (hi == 0x90 and d2 == 0):
+                events.append(MidiEvent(tick, NoteOff(channel, d1)))
+            else:
+                events.append(MidiEvent(tick, Other(bytes([status, d1, d2][: 1 + nbytes]))))
+    return events
+
+
+def reference_parse_midi(data: bytes) -> MidiFile:
+    """``parse_midi`` as a byte-at-a-time track loop."""
+    if len(data) < 4 or data[:4] != b"MThd":
+        raise MidiParseError("missing MThd magic", 0)
+    _require(data, 4, 10, "header chunk")
+    header_len = struct.unpack(">I", data[4:8])[0]
+    if header_len < 6:
+        raise MidiParseError(f"header length {header_len} too short", 4)
+    _require(data, 8, header_len, "header chunk")
+    fmt, ntracks, division = struct.unpack(">HHH", data[8:14])
+    if fmt == 2:
+        raise MidiParseError("format 2 files are not supported", 8)
+    if fmt not in (0, 1):
+        raise MidiParseError(f"unknown format {fmt}", 8)
+    if division & 0x8000:
+        raise MidiParseError("SMPTE time division is not supported", 12)
+    if division == 0:
+        raise MidiParseError("zero ticks per quarter", 12)
+    pos = 8 + header_len
+    tracks: list[list[MidiEvent]] = []
+    while pos < len(data) and len(tracks) < ntracks:
+        _require(data, pos, 8, "chunk header")
+        chunk_id = data[pos : pos + 4]
+        length = struct.unpack(">I", data[pos + 4 : pos + 8])[0]
+        body = pos + 8
+        _require(data, body, length, "chunk body")
+        if chunk_id == b"MTrk":
+            tracks.append(_parse_track(data, body, body + length))
+        # unknown chunk types are skipped, per the SMF spec
+        pos = body + length
+    if not tracks:
+        raise MidiParseError("no MTrk chunks found", pos)
+    return MidiFile(fmt, division, tracks)
+
+
+@dataclass
+class _RawNote:
+    onset: int  # ticks
+    off: int
+    pitch: int
+
+
+def _collect_notes(track: list[MidiEvent]) -> list[_RawNote]:
+    """Pair note-ons with note-offs, in stream order; percussion is skipped."""
+    notes: list[_RawNote] = []
+    open_notes: dict[tuple[int, int], _RawNote] = {}
+    last_tick = 0
+    for ev in track:
+        last_tick = max(last_tick, ev.tick)
+        if isinstance(ev.kind, NoteOn):
+            if ev.kind.channel == PERCUSSION_CHANNEL:
+                continue
+            key = (ev.kind.channel, ev.kind.pitch)
+            if key in open_notes:
+                open_notes[key].off = ev.tick  # retrigger closes the old note
+            note = _RawNote(ev.tick, -1, ev.kind.pitch)
+            notes.append(note)
+            open_notes[key] = note
+        elif isinstance(ev.kind, NoteOff):
+            key = (ev.kind.channel, ev.kind.pitch)
+            note = open_notes.pop(key, None)
+            if note is not None and note.off < 0:
+                note.off = ev.tick
+    for note in open_notes.values():
+        if note.off < 0:
+            note.off = last_tick
+    return [n for n in notes if n.off > n.onset]
+
+
+def _monophonic(notes: list[_RawNote]) -> list[_RawNote]:
+    """Keep the most recently started note, truncating whatever it overlaps."""
+    notes = sorted(enumerate(notes), key=lambda p: (p[1].onset, p[0]))
+    line: list[_RawNote] = []
+    for _, note in notes:
+        while line and line[-1].off > note.onset:
+            line[-1].off = note.onset
+            if line[-1].off <= line[-1].onset:
+                line.pop()
+            else:
+                break
+        line.append(_RawNote(note.onset, note.off, note.pitch))
+    return line
+
+
+def _quantize(notes: list[_RawNote], ticks_per_quarter: int) -> list[_RawNote]:
+    """Snap onsets/offsets to the nearest 16th step; sub-half-step notes drop."""
+    step_ticks = ticks_per_quarter / STEPS_PER_QUARTER
+    quantized: list[_RawNote] = []
+    for note in notes:
+        onset = int(note.onset / step_ticks + 0.5)
+        off = int(note.off / step_ticks + 0.5)
+        if off <= onset:
+            continue
+        quantized.append(_RawNote(onset, off, note.pitch))
+    # rounding can reintroduce overlaps; resolve in favour of the later note
+    resolved: list[_RawNote] = []
+    for note in quantized:
+        while resolved and resolved[-1].off > note.onset:
+            resolved[-1].off = note.onset
+            if resolved[-1].off <= resolved[-1].onset:
+                resolved.pop()
+            else:
+                break
+        resolved.append(note)
+    return resolved
+
+
+def _file_tempo_qpm(file: MidiFile) -> float:
+    for track in file.tracks:
+        for ev in sorted(track, key=lambda e: e.tick):
+            if isinstance(ev.kind, TempoChange):
+                return 60_000_000.0 / ev.kind.microseconds_per_quarter
+    return 60_000_000.0 / DEFAULT_TEMPO_US
+
+
+def _has_four_four(file: MidiFile) -> bool:
+    for track in file.tracks:
+        for ev in track:
+            if isinstance(ev.kind, TimeSignature):
+                if ev.kind.numerator == 4 and ev.kind.denominator == 4:
+                    return True
+    return False
+
+
+def reference_extract_melodies(file: MidiFile,
+                               cfg: ExtractionConfig | None = None) -> list[Melody]:
+    """``extract_melodies`` with a rescan of every note per window.
+
+    Windows are scanned from tick 0 in track order, without overlap; a window
+    qualifies if it contains at least ``cfg.min_notes`` note onsets.  Notes
+    sounding across a window boundary are clipped at the boundary; notes
+    starting before it belong to the earlier window.
+    """
+    cfg = cfg or ExtractionConfig()
+    if cfg.require_four_four and not _has_four_four(file):
+        return []
+    tempo_qpm = _file_tempo_qpm(file)
+    window = STEPS_PER_BAR * cfg.bars
+    melodies: list[Melody] = []
+    for track in file.tracks:
+        if len(melodies) >= cfg.max_melodies_per_file:
+            break
+        notes = _quantize(_monophonic(_collect_notes(track)), file.ticks_per_quarter)
+        if not notes:
+            continue
+        last_end = max(n.off for n in notes)
+        for lo in range(0, last_end, window):
+            if len(melodies) >= cfg.max_melodies_per_file:
+                break
+            hi = lo + window
+            spans = [
+                NoteSpan(n.pitch, n.onset - lo, min(n.off, hi) - n.onset)
+                for n in notes
+                if lo <= n.onset < hi
+            ]
+            if len(spans) >= cfg.min_notes:
+                melodies.append(Melody(tuple(spans), cfg.bars, tempo_qpm))
+    return melodies

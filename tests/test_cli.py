@@ -1,3 +1,4 @@
+import hashlib
 import json
 import warnings
 import xml.etree.ElementTree as ET
@@ -107,6 +108,27 @@ def test_ingest_skips_file_whose_extraction_fails(tmp_path, monkeypatch):
     assert run("ingest", str(mididir), str(out)) == 0
     assert len(calls) == 2
     assert len(load_corpus(out)) == 2  # only b.mid's windows
+    manifest = json.loads((tmp_path / "corpus.jsonl.manifest.json").read_text())
+    assert manifest["dropped"] == {"unreadable": 0, "unparseable": 0, "invalid_melody": 1}
+
+
+def test_ingest_skips_unreadable_paths(tmp_path):
+    mididir = tmp_path / "mid"
+    mididir.mkdir()
+    good = mididir / "scale.mid"
+    good.write_bytes(scale_file())
+    (mididir / "broken.mid").write_bytes(b"MThd junk")
+    (mididir / "folder.mid").mkdir()
+    (mididir / "dangling.mid").symlink_to(mididir / "missing.mid")
+    out = tmp_path / "corpus.jsonl"
+    assert run("ingest", str(mididir), str(out)) == 0
+    assert len(load_corpus(out)) == 2
+    manifest = json.loads((tmp_path / "corpus.jsonl.manifest.json").read_text())
+    assert manifest["input_hashes"] == {
+        str(good): hashlib.sha256(scale_file()).hexdigest(),
+        str(mididir / "broken.mid"): hashlib.sha256(b"MThd junk").hexdigest(),
+    }
+    assert manifest["dropped"] == {"unreadable": 2, "unparseable": 1, "invalid_melody": 0}
 
 
 def test_ingest_empty_dir(tmp_path):
@@ -207,11 +229,13 @@ def test_analyze_heatmap_cell_count(tiny_run):
 
 
 def test_analyze_partition_json(tiny_run):
-    _, _, _, _, out_dir = tiny_run
+    _, corpus_path, _, train_dir, out_dir = tiny_run
     payload = json.loads((out_dir / "partition.json").read_text())
     assert sorted(payload["music"] + payload["noise"]) == list(range(8))
     assert payload["sigma_threshold"] == 0.9
-    assert len(payload["checkpoint_sha256"]) == 64
+    checkpoint = (train_dir / "checkpoint.npz").read_bytes()
+    assert payload["checkpoint_sha256"] == hashlib.sha256(checkpoint).hexdigest()
+    assert payload["corpus_sha256"] == hashlib.sha256(corpus_path.read_bytes()).hexdigest()
 
 
 def test_analyze_manifest_records_peak_rss(tiny_run):

@@ -2,16 +2,19 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latent_lens import midi
 from latent_lens.melody import Melody, NoteSpan
 from latent_lens.midi import (
     ExtractionConfig,
+    MidiEvent,
+    MidiFile,
     MidiParseError,
     NoteOff,
     NoteOn,
+    Other,
     TempoChange,
     TimeSignature,
     extract_melodies,
@@ -20,6 +23,7 @@ from latent_lens.midi import (
 )
 
 from conftest import random_melody
+from oracles import reference_extract_melodies, reference_parse_midi
 
 
 def mthd(fmt=0, ntracks=1, tpq=480) -> bytes:
@@ -288,3 +292,83 @@ def test_zero_tempo_rejected():
     with pytest.raises(MidiParseError) as exc:
         parse_midi(mthd() + mtrk(body))
     assert exc.value.offset == len(mthd()) + 8 + 4  # the tempo payload
+
+
+# ------------------------------------------------------- against the oracles
+
+_CONFIGS = [
+    ExtractionConfig(),
+    ExtractionConfig(bars=16, require_four_four=False),
+    ExtractionConfig(max_melodies_per_file=1, min_notes=1, require_four_four=False),
+]
+
+
+def _parse_or_error(parse, data):
+    try:
+        return parse(data), None
+    except MidiParseError as err:
+        return None, (str(err), err.offset)
+
+
+# one-data-byte messages (program change, channel pressure), also under
+# running status and cut short
+_ONE_BYTE_EVENTS = bytes([0x00, 0xC0, 5, 0x00, 6, 0x00, 0x90, 60, 90, 0x10, 0xD1, 40])
+
+
+@settings(max_examples=600, deadline=None)
+@given(_smf_like)
+@example(mthd() + mtrk(_ONE_BYTE_EVENTS))
+@example(mthd() + struct.pack(">4sI", b"MTrk", 2) + bytes([0x00, 0xC0]))
+def test_parse_matches_reference(data):
+    got, got_err = _parse_or_error(parse_midi, data)
+    want, want_err = _parse_or_error(reference_parse_midi, data)
+    assert got == want and got_err == want_err
+    if got is not None:
+        for cfg in _CONFIGS:
+            assert extract_melodies(got, cfg) == reference_extract_melodies(want, cfg)
+
+
+_kind = st.one_of(
+    st.builds(NoteOn, st.sampled_from([0, 1, 9]), st.integers(58, 62), st.integers(1, 127)),
+    st.builds(NoteOff, st.sampled_from([0, 1, 9]), st.integers(58, 62)),
+    st.builds(TempoChange, st.integers(1, 2_000_000)),
+    st.builds(TimeSignature, st.sampled_from([3, 4]), st.sampled_from([4, 8])),
+    st.just(Other(b"\xb0\x07\x64")),
+)
+# unsorted, sometimes negative ticks: a hand-built file need not be in stream order
+_track = st.lists(st.builds(MidiEvent, st.integers(-40, 1200), _kind), max_size=40)
+_midi_file = st.builds(
+    MidiFile, st.just(1), st.sampled_from([1, 3, 4, 24, 96]), st.lists(_track, max_size=2))
+_config = st.builds(
+    ExtractionConfig,
+    bars=st.sampled_from([2, 16]),
+    max_melodies_per_file=st.sampled_from([1, 2, 5]),
+    min_notes=st.sampled_from([1, 3]),
+    require_four_four=st.booleans(),
+)
+_FOUR_FOUR = MidiEvent(0, TimeSignature(4, 4))
+# retrigger, same-onset chord, overlap, percussion and a note across the
+# step-32 window edge in one track; a second track with its own tempo
+_EDGE_CASES = MidiFile(1, 4, [
+    [
+        _FOUR_FOUR, MidiEvent(0, NoteOn(0, 60, 90)), MidiEvent(4, NoteOn(0, 60, 90)),
+        MidiEvent(8, NoteOn(0, 67, 90)), MidiEvent(8, NoteOn(0, 64, 90)),
+        MidiEvent(10, NoteOn(9, 36, 90)), MidiEvent(12, NoteOn(1, 62, 90)),
+        MidiEvent(14, NoteOff(0, 64)), MidiEvent(30, NoteOn(0, 65, 90)),
+        MidiEvent(40, NoteOff(0, 65)), MidiEvent(36, NoteOn(0, 69, 90)),
+    ],
+    [MidiEvent(5, TempoChange(400_000)), MidiEvent(2, NoteOn(0, 50, 90)),
+     MidiEvent(70, NoteOff(0, 50)), MidiEvent(1, TempoChange(600_000))],
+])
+
+
+@settings(max_examples=600, deadline=None)
+@given(_midi_file, _config)
+@example(_EDGE_CASES, ExtractionConfig(min_notes=1))
+@example(_EDGE_CASES, ExtractionConfig(bars=16, min_notes=1))
+@example(_EDGE_CASES, ExtractionConfig(max_melodies_per_file=1, min_notes=1))
+def test_extract_matches_reference(file, cfg):
+    if cfg.require_four_four:
+        file = MidiFile(file.format, file.ticks_per_quarter,
+                        [[_FOUR_FOUR, *track] for track in file.tracks])
+    assert extract_melodies(file, cfg) == reference_extract_melodies(file, cfg)
