@@ -121,25 +121,14 @@ def _require(data: bytes, pos: int, count: int, what: str) -> None:
         raise MidiParseError(f"truncated {what}", pos)
 
 
-def _channel_kind(key: int) -> EventKind:
-    """The event a channel message stands for, from its bytes packed big-endian
-    into one int: status and one data byte, or status and two."""
-    if key < 0x10000:
-        return Other(key.to_bytes(2, "big"))
-    status, d1, d2 = key >> 16, (key >> 8) & 0x7F, key & 0x7F
-    hi = status & 0xF0
-    if hi == 0x90 and d2:
-        return NoteOn(status & 0x0F, d1, d2)
-    if hi == 0x80 or hi == 0x90:
-        return NoteOff(status & 0x0F, d1)
-    return Other(key.to_bytes(3, "big"))
-
-
 def _parse_track(data: bytes, start: int, end: int) -> list[MidiEvent]:
     # One loop iteration per event.  The common cases (a one-byte delta, a
-    # channel message seen before in the track) call no helper; the bounds
-    # checks are _require's, inline.  Event kinds are immutable, so equal
-    # channel messages share one object.
+    # note message seen before in the track) call no helper; the bounds checks
+    # are _require's, inline.  Event kinds are immutable, so equal two-byte
+    # channel messages in a track share one object, keyed by the message's
+    # bytes packed into an int.  Files that repeat their messages (a fixed
+    # velocity, note-offs as velocity-0 note-ons) hit it for most events; a
+    # miss costs one dict probe and insert on top of building the kind.
     events: list[MidiEvent] = []
     kinds: dict[int, EventKind] = {}
     append = events.append
@@ -172,21 +161,28 @@ def _parse_track(data: bytes, start: int, end: int) -> list[MidiEvent]:
                 if d1 & 0x80:
                     raise MidiParseError(f"channel data byte 0x{d1:02x} >= 0x80", pos)
                 pos += 1
-                key = (status << 8) | d1
-            else:
-                if pos + 2 > size:
-                    raise MidiParseError("truncated channel event data", pos)
-                d1 = data[pos]
-                d2 = data[pos + 1]
-                if (d1 | d2) & 0x80:
-                    if d1 & 0x80:
-                        raise MidiParseError(f"channel data byte 0x{d1:02x} >= 0x80", pos)
-                    raise MidiParseError(f"channel data byte 0x{d2:02x} >= 0x80", pos + 1)
-                pos += 2
-                key = (status << 16) | (d1 << 8) | d2
+                append(MidiEvent(tick, Other(bytes((status, d1)))))
+                continue
+            if pos + 2 > size:
+                raise MidiParseError("truncated channel event data", pos)
+            d1 = data[pos]
+            d2 = data[pos + 1]
+            if (d1 | d2) & 0x80:
+                if d1 & 0x80:
+                    raise MidiParseError(f"channel data byte 0x{d1:02x} >= 0x80", pos)
+                raise MidiParseError(f"channel data byte 0x{d2:02x} >= 0x80", pos + 1)
+            pos += 2
+            key = (status << 16) | (d1 << 8) | d2
             kind = kinds.get(key)
             if kind is None:
-                kind = kinds[key] = _channel_kind(key)
+                hi = status & 0xF0
+                if hi == 0x90 and d2:
+                    kind = NoteOn(status & 0x0F, d1, d2)
+                elif hi == 0x80 or hi == 0x90:
+                    kind = NoteOff(status & 0x0F, d1)
+                else:
+                    kind = Other(bytes((status, d1, d2)))
+                kinds[key] = kind
             append(MidiEvent(tick, kind))
         elif status == 0xFF:
             if pos + 2 > size:

@@ -18,12 +18,9 @@ once with the Drezner & Wesolowsky (1990) single-integral form, as in Genz
 The integral uses fixed Gauss-Legendre nodes in v = log(pi/2 - |t|), which
 crowd toward |t| = pi/2, where the integrand sharpens as |rho| -> 1.  With
 40 nodes a cell is within 1e-12 of the exact (Owen's T) value up to
-|rho| = 0.9999, the end of the phik bisection.  The terms of the grid that
-do not depend on rho (the clipped edges, x^2 + y^2, 2xy and Phi(a) Phi(b))
-are computed once per pair, not at every bisection step.  Only the
-correlation score itself is implemented; the sampling-noise pedestal and
-significance machinery of the reference library are intentionally out of
-scope.
+|rho| = 0.9999, the end of the phik bisection.  Only the correlation score
+itself is implemented; the sampling-noise pedestal and significance
+machinery of the reference library are intentionally out of scope.
 """
 
 from __future__ import annotations
@@ -133,34 +130,18 @@ def bvn_cell_probs(rho: float, row_edges, col_edges) -> np.ndarray:
         raise ValueError("edges must be 1-D")
     if np.any(np.diff(row_edges) <= 0) or np.any(np.diff(col_edges) <= 0):
         raise ValueError("edges must be strictly increasing")
-    return _bvn_cells(rho, _bvn_grid(row_edges, col_edges))
-
-
-def _bvn_grid(row_edges: np.ndarray, col_edges: np.ndarray):
-    """The terms of the CDF grid that do not depend on rho.
-
-    With x, y the clipped edges broadcast to (corner, corner, node): x^2 + y^2,
-    2xy and the independent part Phi(a) Phi(b).  A phik bisection evaluates
-    many rho on one grid, so it computes these once.
-    """
     a = np.clip(row_edges, -_Z_CLIP, _Z_CLIP)
     b = np.clip(col_edges, -_Z_CLIP, _Z_CLIP)
-    x, y = a[:, None, None], b[None, :, None]
-    return x * x + y * y, 2.0 * x * y, np.outer(ndtr(a), ndtr(b))
-
-
-def _bvn_cells(rho: float, grid) -> np.ndarray:
-    squares, twice_xy, indep_cdf = grid
     # t = sign(rho) * (pi/2 - u) with u = exp(v), v from log(acos|rho|) to
     # log(pi/2); the Jacobian |dt/dv| is u
     v_lo = math.log(math.acos(abs(rho)))
     width = _LOG_HALF_PI - v_lo
     u = np.exp(v_lo + width * _GL_NODES)
     sign = math.copysign(1.0, rho)
-    # sign * (2xy) is bit for bit the (2 sign x) y of the expanded form
-    expo = (squares - sign * twice_xy * np.cos(u)) / (2.0 * np.sin(u) ** 2)
+    x, y = a[:, None, None], b[None, :, None]  # broadcast to (corner, corner, node)
+    expo = (x * x + y * y - 2.0 * sign * x * y * np.cos(u)) / (2.0 * np.sin(u) ** 2)
     integral = sign * width * (np.exp(-expo) @ (u * _GL_WEIGHTS))
-    cdf = indep_cdf + integral / (2.0 * math.pi)
+    cdf = np.outer(ndtr(a), ndtr(b)) + integral / (2.0 * math.pi)
     return cdf[1:, 1:] - cdf[:-1, 1:] - cdf[1:, :-1] + cdf[:-1, :-1]
 
 
@@ -174,10 +155,11 @@ def _marginal_z_edges(probs: np.ndarray) -> np.ndarray:
     return edges
 
 
-def _bvn_chi2(rho: float, n: float, indep: np.ndarray, grid) -> float:
-    """Chi-square of the binned bivariate normal against independence
-    (``indep``, the outer product of the marginals) on a ``_bvn_grid``."""
-    q = _bvn_cells(rho, grid)
+def _bvn_chi2(rho: float, n: float, p_row: np.ndarray, p_col: np.ndarray,
+              row_edges: np.ndarray, col_edges: np.ndarray) -> float:
+    """Chi-square of the binned bivariate normal against independence."""
+    q = bvn_cell_probs(rho, row_edges, col_edges)
+    indep = np.outer(p_row, p_col)
     return float(n * (((q - indep) ** 2) / indep).sum())
 
 
@@ -197,11 +179,11 @@ def phik(x, y, cfg: PhikConfig | None = None) -> float:
     n = counts.sum()
     p_row = counts.sum(axis=1) / n
     p_col = counts.sum(axis=0) / n
-    indep = np.outer(p_row, p_col)
-    grid = _bvn_grid(_marginal_z_edges(p_row), _marginal_z_edges(p_col))
+    row_edges = _marginal_z_edges(p_row)
+    col_edges = _marginal_z_edges(p_col)
 
     def curve(rho: float) -> float:
-        return _bvn_chi2(rho, n, indep, grid)
+        return _bvn_chi2(rho, n, p_row, p_col, row_edges, col_edges)
 
     hi = 1.0 - cfg.rho_tol
     if observed >= curve(hi):

@@ -7,9 +7,7 @@ corpus-wide feature pass and the distinct-value LOWESS replace.
 ``reference_parse_midi`` reads each track event by event through the generic
 helpers, and ``reference_extract_melodies`` rebuilds its notes at every stage
 and rescans all of a track's notes for each window: the forms that the tight
-track loop and the single-pass extractor replace.  ``reference_phik`` computes
-every term of the bivariate-normal grid afresh at each bisection step, where
-``phik`` computes the rho-free terms of a pair's grid once.
+track loop and the single-pass extractor replace.
 """
 
 from __future__ import annotations
@@ -19,9 +17,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
-from latent_lens import stats
 from latent_lens.features import ARPEGGIATION_INTERVALS, FEATURE_NAMES
 from latent_lens.melody import STEPS_PER_BAR, STEPS_PER_QUARTER, Melody, NoteSpan, step_seconds
 from latent_lens.midi import (
@@ -155,70 +151,6 @@ def reference_lowess(x, y, frac: float = 0.3, iters: int = 2, dtype=float,
         u = np.clip(resid / (6.0 * scale), -1.0, 1.0)
         delta = (1.0 - u * u) ** 2
     return yest
-
-
-def reference_bvn_cell_probs(rho: float, row_edges, col_edges) -> np.ndarray:
-    """``stats.bvn_cell_probs`` computing every term of the grid per call.
-
-    ``row_edges`` / ``col_edges`` are strictly increasing arrays of standard
-    normal quantiles (+-inf allowed at the ends; edges are clipped to
-    +-``_Z_CLIP``).  Returns an (r, c) matrix whose entries integrate the
-    density with correlation ``rho`` over each rectangle, as four-corner
-    differences of the CDF on the grid of edges.
-    """
-    if not -1.0 < rho < 1.0:
-        raise ValueError(f"correlation must lie in (-1, 1), got {rho}")
-    row_edges = np.asarray(row_edges, dtype=float)
-    col_edges = np.asarray(col_edges, dtype=float)
-    if row_edges.ndim != 1 or col_edges.ndim != 1:
-        raise ValueError("edges must be 1-D")
-    if np.any(np.diff(row_edges) <= 0) or np.any(np.diff(col_edges) <= 0):
-        raise ValueError("edges must be strictly increasing")
-    a = np.clip(row_edges, -stats._Z_CLIP, stats._Z_CLIP)
-    b = np.clip(col_edges, -stats._Z_CLIP, stats._Z_CLIP)
-    # t = sign(rho) * (pi/2 - u) with u = exp(v), v from log(acos|rho|) to
-    # log(pi/2); the Jacobian |dt/dv| is u
-    v_lo = math.log(math.acos(abs(rho)))
-    width = stats._LOG_HALF_PI - v_lo
-    u = np.exp(v_lo + width * stats._GL_NODES)
-    sign = math.copysign(1.0, rho)
-    x, y = a[:, None, None], b[None, :, None]  # broadcast to (corner, corner, node)
-    expo = (x * x + y * y - 2.0 * sign * x * y * np.cos(u)) / (2.0 * np.sin(u) ** 2)
-    integral = sign * width * (np.exp(-expo) @ (u * stats._GL_WEIGHTS))
-    cdf = np.outer(ndtr(a), ndtr(b)) + integral / (2.0 * math.pi)
-    return cdf[1:, 1:] - cdf[:-1, 1:] - cdf[1:, :-1] + cdf[:-1, :-1]
-
-
-def reference_phik(x, y, cfg: stats.PhikConfig | None = None) -> float:
-    """``stats.phik`` with each chi-square evaluated by ``reference_bvn_cell_probs``."""
-    cfg = cfg or stats.PhikConfig()
-    table = stats.contingency(x, y, cfg)
-    observed = stats.chi2(table)
-    if observed <= 0.0:
-        return 0.0
-    counts = np.asarray(table.counts, dtype=float)
-    n = counts.sum()
-    p_row = counts.sum(axis=1) / n
-    p_col = counts.sum(axis=0) / n
-    row_edges = stats._marginal_z_edges(p_row)
-    col_edges = stats._marginal_z_edges(p_col)
-
-    def curve(rho: float) -> float:
-        q = reference_bvn_cell_probs(rho, row_edges, col_edges)
-        indep = np.outer(p_row, p_col)
-        return float(n * (((q - indep) ** 2) / indep).sum())
-
-    hi = 1.0 - cfg.rho_tol
-    if observed >= curve(hi):
-        return 1.0
-    lo = 0.0
-    while hi - lo > cfg.rho_tol:
-        mid = 0.5 * (lo + hi)
-        if curve(mid) < observed:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def _read_vlq(data: bytes, pos: int, end: int) -> tuple[int, int]:
