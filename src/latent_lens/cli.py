@@ -9,6 +9,7 @@ reproducible.  Exit codes: 0 success, 1 input error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import logging
 import sys
@@ -277,13 +278,11 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    manifest = report.RunManifest("train", vars(args))
     prior_rows: list[str] = []
     offset = 0
     if args.resume:
-        try:
-            params = vae.load_checkpoint(args.resume)
-        except vae.CheckpointError as err:
-            raise CliInputError(str(err))
+        params = _load_checkpoint(args.resume, manifest)
         history_path = out_dir / "history.csv"
         if history_path.exists():
             prior_rows = history_path.read_text().strip().splitlines()[1:]
@@ -313,7 +312,6 @@ def cmd_train(args) -> int:
         input_dropout=args.input_dropout,
     )
     ckpt_path = out_dir / "checkpoint.npz"
-    manifest = report.RunManifest("train", vars(args))
     try:
         params, history = vae.train(params, seqs, tcfg)
     except vae.TrainingDiverged as err:
@@ -339,9 +337,16 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_checkpoint(path: str) -> vae.Params:
+def _load_checkpoint(path: str, manifest: report.RunManifest) -> vae.Params:
+    """Load a checkpoint from one read of its file, and record the SHA-256 of
+    the bytes loaded as an input of ``manifest``."""
     try:
-        return vae.load_checkpoint(path)
+        data = Path(path).read_bytes()
+    except OSError as err:
+        raise CliInputError(f"unreadable checkpoint: {err}")
+    manifest.add_input(path, data)
+    try:
+        return vae.load_checkpoint(io.BytesIO(data))
     except vae.CheckpointError as err:
         raise CliInputError(str(err))
 
@@ -358,13 +363,12 @@ def _load_model_length_corpus(path: str, seq_len: int):
 
 def cmd_analyze(args) -> int:
     watch = report.Stopwatch()
-    params = _load_checkpoint(args.checkpoint)
+    manifest = report.RunManifest("analyze", vars(args))
+    params = _load_checkpoint(args.checkpoint, manifest)
     seq_len = params.config.seq_len
     kept, n_skipped = _load_model_length_corpus(args.corpus, seq_len)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = report.RunManifest("analyze", vars(args))
-    manifest.add_input(args.checkpoint)
     manifest.add_input(args.corpus)
     skipped = {"corpus": n_skipped}
     manifest.dropped["skipped_sequences"] = skipped
@@ -490,7 +494,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_roundtrip(args) -> int:
-    params = _load_checkpoint(args.checkpoint)
+    manifest = report.RunManifest("roundtrip", vars(args))
+    params = _load_checkpoint(args.checkpoint, manifest)
     entries = _load_corpus_file(args.melody)
     if len(entries) != 1:
         raise CliInputError(f"expected exactly one melody, got {len(entries)}")
@@ -501,8 +506,6 @@ def cmd_roundtrip(args) -> int:
         raise CliInputError("-k must be >= 0")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = report.RunManifest("roundtrip", vars(args))
-    manifest.add_input(args.checkpoint)
     manifest.add_input(args.melody)
 
     rng = np.random.default_rng(args.seed)

@@ -70,7 +70,8 @@ class Melody:
     tempo_qpm: float = 120.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "spans", tuple(self.spans))
+        spans = tuple(self.spans)
+        object.__setattr__(self, "spans", spans)
         if self.bars not in SUPPORTED_BARS:
             raise InvalidMelody(f"bars must be one of {SUPPORTED_BARS}, got {self.bars}")
         if not self.tempo_qpm > 0:
@@ -78,19 +79,17 @@ class Melody:
         total = self.total_steps
         prev_end = 0
         prev_onset = -1
-        for span in self.spans:
-            if span.onset_step < prev_onset:
-                raise InvalidMelody("spans must be sorted by onset step")
-            if span.onset_step < prev_end:
-                raise InvalidMelody(
-                    f"span at step {span.onset_step} overlaps the previous note"
-                )
-            if span.end_step > total:
-                raise InvalidMelody(
-                    f"span ending at step {span.end_step} exceeds {total} steps"
-                )
-            prev_onset = span.onset_step
-            prev_end = span.end_step
+        for span in spans:
+            onset = span.onset_step
+            if onset < prev_end:  # spans end after they start, so unsorted ones land here too
+                if onset < prev_onset:
+                    raise InvalidMelody("spans must be sorted by onset step")
+                raise InvalidMelody(f"span at step {onset} overlaps the previous note")
+            end = onset + span.duration_steps
+            if end > total:
+                raise InvalidMelody(f"span ending at step {end} exceeds {total} steps")
+            prev_onset = onset
+            prev_end = end
 
     @property
     def total_steps(self) -> int:
@@ -109,20 +108,23 @@ class TokenSequence:
     bars: int = 2
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tokens", tuple(int(t) for t in self.tokens))
+        tokens = tuple(map(int, self.tokens))
+        object.__setattr__(self, "tokens", tokens)
         if self.bars not in SUPPORTED_BARS:
             raise InvalidTokenSequence(
                 f"bars must be one of {SUPPORTED_BARS}, got {self.bars}"
             )
         expected = STEPS_PER_BAR * self.bars
-        if len(self.tokens) != expected:
+        if len(tokens) != expected:
             raise InvalidTokenSequence(
-                f"expected {expected} tokens for {self.bars} bars, got {len(self.tokens)}"
+                f"expected {expected} tokens for {self.bars} bars, got {len(tokens)}"
             )
-        for i, tok in enumerate(self.tokens):
-            if not 0 <= tok < VOCAB_SIZE:
-                raise InvalidTokenSequence(f"token {tok} at step {i} outside 0..129")
-        if self.tokens[0] == HOLD:
+        if min(tokens) < 0 or max(tokens) >= VOCAB_SIZE:
+            # walk the tokens only to name the first bad one
+            for i, tok in enumerate(tokens):
+                if not 0 <= tok < VOCAB_SIZE:
+                    raise InvalidTokenSequence(f"token {tok} at step {i} outside 0..129")
+        if tokens[0] == HOLD:
             raise InvalidTokenSequence("sequence may not start with a hold token")
 
     def __len__(self) -> int:
@@ -144,16 +146,18 @@ def tokenize(melody: Melody) -> TokenSequence:
     """
     total = melody.total_steps
     tokens = [HOLD] * total
-    sounding = [False] * total
+    # spans are sorted and never overlap, so a silence can only start at
+    # step 0 or where a note ends, and it does unless the next note starts
+    # right there
+    silent_from = 0
     for span in melody.spans:
-        tokens[span.onset_step] = span.pitch
-        for step in range(span.onset_step, span.end_step):
-            sounding[step] = True
-    for step in range(total):
-        if sounding[step]:
-            continue
-        if step == 0 or sounding[step - 1]:
-            tokens[step] = REST
+        onset = span.onset_step
+        if onset > silent_from:
+            tokens[silent_from] = REST
+        tokens[onset] = span.pitch
+        silent_from = onset + span.duration_steps
+    if silent_from < total:
+        tokens[silent_from] = REST
     return TokenSequence(tuple(tokens), melody.bars)
 
 

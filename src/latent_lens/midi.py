@@ -6,17 +6,18 @@ delta times; meta and sysex events it does not model are preserved as opaque
 it to the 16th-note grid, and cuts it into non-overlapping windows of a fixed
 bar count.  Writing emits format 0 at 480 ticks per quarter.
 
-Each stage is one pass: the parser reads a track in a single loop over its
-events, and extraction pairs a track's notes in one pass over its events,
-then makes one pass over the onset-sorted notes for each of the monophonic
-reduction, the quantization and the window cut.
+Each stage is at most one pass: the parser reads a track in a single loop
+over its events, and extraction pairs a track's notes in one pass over its
+events, then makes one pass over the onset-sorted notes for each of the
+monophonic reduction and the quantization, and finds each window's notes by
+bisection.
 """
 
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import groupby
 from operator import attrgetter, itemgetter
 
 from .melody import (
@@ -73,10 +74,31 @@ class Other:
 EventKind = NoteOn | NoteOff | TempoChange | TimeSignature | Other
 
 
-@dataclass(frozen=True)
 class MidiEvent:
-    tick: int
-    kind: EventKind
+    """One track event at an absolute tick.
+
+    A ``__slots__`` class rather than a frozen dataclass, because a parse
+    builds one per event and a frozen dataclass's constructor costs three
+    times as much.  It compares, hashes and prints as that dataclass did, but
+    its fields can be reassigned.
+    """
+
+    __slots__ = ("tick", "kind")
+
+    def __init__(self, tick: int, kind: EventKind) -> None:
+        self.tick = tick
+        self.kind = kind
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.tick, self.kind) == (other.tick, other.kind)
+
+    def __hash__(self) -> int:
+        return hash((self.tick, self.kind))
+
+    def __repr__(self) -> str:
+        return f"MidiEvent(tick={self.tick!r}, kind={self.kind!r})"
 
 
 @dataclass
@@ -259,11 +281,8 @@ def _collect_notes(track: list[MidiEvent]) -> list[list[int]]:
     """Pair note-ons with note-offs, in stream order; percussion is skipped."""
     notes: list[list[int]] = []
     open_notes: dict[tuple[int, int], list[int]] = {}
-    last_tick = 0
     for ev in track:
         tick = ev.tick
-        if tick > last_tick:
-            last_tick = tick
         kind = ev.kind
         if isinstance(kind, NoteOn):
             if kind.channel == PERCUSSION_CHANNEL:
@@ -279,8 +298,10 @@ def _collect_notes(track: list[MidiEvent]) -> list[list[int]]:
             note = open_notes.pop((kind.channel, kind.pitch), None)
             if note is not None:
                 note[1] = tick
-    for note in open_notes.values():
-        note[1] = last_tick
+    if open_notes:  # notes never released end at the track's last tick
+        last_tick = max(0, max(ev.tick for ev in track))
+        for note in open_notes.values():
+            note[1] = last_tick
     return [n for n in notes if n[1] > n[0]]
 
 
@@ -353,26 +374,26 @@ def extract_melodies(file: MidiFile, cfg: ExtractionConfig | None = None) -> lis
         return []
     tempo_qpm = _file_tempo_qpm(file)
     window = STEPS_PER_BAR * cfg.bars
+    onset_of = itemgetter(0)
     melodies: list[Melody] = []
     for track in file.tracks:
         if len(melodies) >= cfg.max_melodies_per_file:
             break
         notes = _quantize(_monophonic(_collect_notes(track)), file.ticks_per_quarter)
-        # one pass over the onset-ordered notes, grouped by window; notes
-        # before step 0 belong to no window
-        windows = groupby((n for n in notes if n[0] >= 0), key=lambda n: n[0] // window)
-        for k, group in windows:
-            if len(melodies) >= cfg.max_melodies_per_file:
-                break
-            group = list(group)
-            if len(group) >= cfg.min_notes:
-                lo = k * window
-                hi = lo + window
+        # the notes are onset-ordered, so each window's are a slice, found by
+        # bisection; notes before step 0 belong to no window
+        start = bisect_left(notes, 0, key=onset_of)
+        while start < len(notes) and len(melodies) < cfg.max_melodies_per_file:
+            lo = notes[start][0] // window * window
+            hi = lo + window
+            stop = bisect_left(notes, hi, start, key=onset_of)
+            if stop - start >= cfg.min_notes:
                 spans = tuple(
                     NoteSpan(pitch, onset - lo, min(off, hi) - onset)
-                    for onset, off, pitch in group
+                    for onset, off, pitch in notes[start:stop]
                 )
                 melodies.append(Melody(spans, cfg.bars, tempo_qpm))
+            start = stop
     return melodies
 
 

@@ -29,7 +29,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+
+# scipy.special is imported by the two functions that use it, not here: its
+# import takes about as long as the rest of the package's, and only phik
+# needs it
 
 _Z_CLIP = 8.5  # standard-normal mass beyond this is ~1e-17, below rounding
 _LOG_HALF_PI = math.log(0.5 * math.pi)
@@ -122,6 +125,8 @@ def bvn_cell_probs(rho: float, row_edges, col_edges) -> np.ndarray:
     density with correlation ``rho`` over each rectangle, as four-corner
     differences of the CDF on the grid of edges.
     """
+    from scipy.special import ndtr
+
     if not -1.0 < rho < 1.0:
         raise ValueError(f"correlation must lie in (-1, 1), got {rho}")
     row_edges = np.asarray(row_edges, dtype=float)
@@ -146,6 +151,8 @@ def bvn_cell_probs(rho: float, row_edges, col_edges) -> np.ndarray:
 
 
 def _marginal_z_edges(probs: np.ndarray) -> np.ndarray:
+    from scipy.special import ndtri
+
     cum = np.concatenate(([0.0], np.cumsum(probs)))
     cum = np.clip(cum, 0.0, 1.0)
     edges = np.empty(cum.size)

@@ -741,7 +741,8 @@ def load_checkpoint(path, expect_config: ModelConfig | None = None) -> Params:
             arrays = {name: data[f"param_{name}"] for name in PARAM_NAMES}
     except CheckpointError:
         raise
-    except (OSError, ValueError, KeyError, json.JSONDecodeError, zipfile.BadZipFile) as err:
+    except (OSError, EOFError, ValueError, KeyError, json.JSONDecodeError,
+            zipfile.BadZipFile) as err:
         raise CheckpointError(f"unreadable checkpoint: {err}") from err
     if expect_config is not None and cfg != expect_config:
         raise CheckpointError(

@@ -7,7 +7,10 @@ corpus-wide feature pass and the distinct-value LOWESS replace.
 ``reference_parse_midi`` reads each track event by event through the generic
 helpers, and ``reference_extract_melodies`` rebuilds its notes at every stage
 and rescans all of a track's notes for each window: the forms that the tight
-track loop and the single-pass extractor replace.
+track loop and the single-pass extractor replace.  ``reference_check_tokens``
+is ``TokenSequence``'s validation as a loop over every token, and
+``reference_tokenize`` marks every sounding step before placing the rests:
+the forms that the min/max check and the rest-at-note-ends pass replace.
 """
 
 from __future__ import annotations
@@ -19,7 +22,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from latent_lens.features import ARPEGGIATION_INTERVALS, FEATURE_NAMES
-from latent_lens.melody import STEPS_PER_BAR, STEPS_PER_QUARTER, Melody, NoteSpan, step_seconds
+from latent_lens.melody import (
+    HOLD,
+    REST,
+    STEPS_PER_BAR,
+    STEPS_PER_QUARTER,
+    SUPPORTED_BARS,
+    VOCAB_SIZE,
+    InvalidTokenSequence,
+    Melody,
+    NoteSpan,
+    step_seconds,
+)
 from latent_lens.midi import (
     DEFAULT_TEMPO_US,
     PERCUSSION_CHANNEL,
@@ -398,3 +412,37 @@ def reference_extract_melodies(file: MidiFile,
             if len(spans) >= cfg.min_notes:
                 melodies.append(Melody(tuple(spans), cfg.bars, tempo_qpm))
     return melodies
+
+
+def reference_check_tokens(tokens, bars: int) -> tuple[int, ...]:
+    """``TokenSequence``'s checks, in its order and with its messages, as one
+    loop over the tokens; returns the tokens as ints."""
+    tokens = tuple(int(t) for t in tokens)
+    if bars not in SUPPORTED_BARS:
+        raise InvalidTokenSequence(f"bars must be one of {SUPPORTED_BARS}, got {bars}")
+    expected = STEPS_PER_BAR * bars
+    if len(tokens) != expected:
+        raise InvalidTokenSequence(
+            f"expected {expected} tokens for {bars} bars, got {len(tokens)}"
+        )
+    for i, tok in enumerate(tokens):
+        if not 0 <= tok < VOCAB_SIZE:
+            raise InvalidTokenSequence(f"token {tok} at step {i} outside 0..129")
+    if tokens[0] == HOLD:
+        raise InvalidTokenSequence("sequence may not start with a hold token")
+    return tokens
+
+
+def reference_tokenize(melody: Melody) -> tuple[int, ...]:
+    """``tokenize``'s codes, from a per-step sounding mask."""
+    total = melody.total_steps
+    tokens = [HOLD] * total
+    sounding = [False] * total
+    for span in melody.spans:
+        tokens[span.onset_step] = span.pitch
+        for step in range(span.onset_step, span.end_step):
+            sounding[step] = True
+    for step in range(total):
+        if not sounding[step] and (step == 0 or sounding[step - 1]):
+            tokens[step] = REST
+    return tuple(tokens)

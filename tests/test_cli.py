@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from latent_lens import cli, melody, midi, vae
+from latent_lens import cli, melody, midi, report, vae
 from latent_lens.corpus import RandomSeqConfig, SyntheticConfig, gen_musical_corpus
 from latent_lens.features import FEATURE_NAMES
 from latent_lens.melody import load_corpus
@@ -192,6 +192,49 @@ def test_train_resume_continues_epochs(tiny_run, tmp_path):
                "--epochs", "1", "--batch", "32", "--seed", "1") == 0
     rows = (resume_dir / "history.csv").read_text().strip().splitlines()
     assert [r.split(",")[0] for r in rows[1:]] == ["0", "1", "2"]
+
+
+def test_checkpoint_is_read_once_and_hashed_as_loaded(tiny_run, tmp_path, monkeypatch):
+    _, corpus_path, _, train_dir, _ = tiny_run
+    ckpt = train_dir / "checkpoint.npz"
+    digest = hashlib.sha256(ckpt.read_bytes()).hexdigest()
+    one = tmp_path / "one.jsonl"
+    one.write_text(corpus_path.read_text().splitlines()[0] + "\n")
+    hashed = []
+    sha256_file = report.sha256_file
+
+    def recording_sha256_file(path):
+        hashed.append(str(path))
+        return sha256_file(path)
+
+    monkeypatch.setattr(report, "sha256_file", recording_sha256_file)
+    runs = {
+        "train": ["train", "--corpus", str(corpus_path), "--resume", str(ckpt),
+                  "--epochs", "1", "--batch", "32"],
+        "analyze": ["analyze", "--checkpoint", str(ckpt), "--corpus", str(corpus_path),
+                    "--phik-bins", "4"],
+        "roundtrip": ["roundtrip", "--checkpoint", str(ckpt), "--melody", str(one), "-k", "1"],
+    }
+    for name, argv in runs.items():
+        out = tmp_path / name
+        assert run(*argv, "--out-dir", str(out)) == 0, name
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["input_hashes"][str(ckpt)] == digest, name
+    assert str(ckpt) not in hashed
+
+
+def test_missing_checkpoint_is_input_error(tiny_run, tmp_path, caplog):
+    _, corpus_path, _, _, _ = tiny_run
+    missing = tmp_path / "missing.npz"
+    for argv in (
+        ["train", "--corpus", str(corpus_path), "--resume", str(missing)],
+        ["analyze", "--checkpoint", str(missing), "--corpus", str(corpus_path)],
+        ["roundtrip", "--checkpoint", str(missing), "--melody", str(corpus_path)],
+    ):
+        caplog.clear()
+        assert run(*argv, "--out-dir", str(tmp_path / "out")) == 1
+        assert caplog.messages == [
+            f"unreadable checkpoint: [Errno 2] No such file or directory: '{missing}'"]
 
 
 def test_analyze_bundle_complete(tiny_run):

@@ -2,11 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from latent_lens import melody
 from latent_lens.melody import (
     HOLD,
     REST,
+    STEPS_PER_BAR,
+    VOCAB_SIZE,
     InvalidMelody,
     InvalidTokenSequence,
     Melody,
@@ -18,6 +22,7 @@ from latent_lens.melody import (
 )
 
 from conftest import random_melody
+from oracles import reference_check_tokens, reference_tokenize
 
 
 def test_tokenize_single_quarter_note():
@@ -133,6 +138,89 @@ def test_sequence_invariants():
         TokenSequence((60,) * 31, 2)  # wrong length
     with pytest.raises(InvalidTokenSequence):
         TokenSequence((130,) + (HOLD,) * 31, 2)  # out of vocabulary
+
+
+# values a caller may pass as a token: ints out of the vocabulary, numpy
+# scalars, bools, and floats (truncated by int(); NaN and inf raise)
+_ODD_TOKENS = st.one_of(
+    st.integers(-1000, -1),
+    st.integers(VOCAB_SIZE, 1000),
+    st.just(HOLD),
+    st.booleans(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-5, VOCAB_SIZE + 5).map(np.int16),
+    st.integers(0, VOCAB_SIZE - 1).map(np.int64),
+    st.floats(-5.0, 140.0).map(np.float32),
+    st.booleans().map(np.bool_),
+)
+
+
+@st.composite
+def _token_inputs(draw):
+    """(tokens, bars): mostly valid sequences with up to three odd tokens,
+    sometimes one token too few or too many, sometimes unsupported bars."""
+    bars = draw(st.sampled_from([2, 2, 16, 3]))
+    length = STEPS_PER_BAR * (2 if bars == 3 else bars) + draw(
+        st.sampled_from([0, 0, 0, -1, 1]))
+    tokens = draw(st.lists(st.integers(0, VOCAB_SIZE - 1), min_size=length,
+                           max_size=length))
+    for _ in range(draw(st.integers(0, 3))):
+        tokens[draw(st.integers(0, length - 1))] = draw(_ODD_TOKENS)
+    container = draw(st.sampled_from([tuple, list, np.array]))
+    return container(tokens), bars
+
+
+def _check_outcome(check, tokens, bars):
+    try:
+        return check(tokens, bars), None
+    except Exception as err:  # the exception type and message are compared
+        return None, (type(err), str(err))
+
+
+_VALID = (60,) + (HOLD,) * 31
+
+
+@settings(max_examples=300, deadline=None)
+@given(_token_inputs())
+@example((np.array(_VALID), 2))
+@example((np.array(_VALID, dtype=np.uint8), 2))
+@example(((HOLD,) + _VALID[1:], 2))
+@example((_VALID[:5] + (-1,) + _VALID[6:], 2))
+@example((_VALID[:5] + (130,) + _VALID[6:-1] + (-3,), 2))
+@example((_VALID[:5] + (True, 128.9) + _VALID[7:], 2))
+@example((_VALID[:31], 2))
+@example((_VALID * 8, 16))
+@example((_VALID, 4))
+def test_token_check_matches_reference(case):
+    tokens, bars = case
+    got = _check_outcome(lambda t, b: TokenSequence(t, b).tokens, tokens, bars)
+    want = _check_outcome(reference_check_tokens, tokens, bars)
+    assert got == want
+    if got[0] is not None:
+        assert all(type(t) is int for t in got[0])
+
+
+@st.composite
+def _melodies(draw):
+    """Melodies from (gap, duration, pitch) triples: back-to-back notes, rests
+    of every length, the empty melody and notes that reach the last step."""
+    bars = draw(st.sampled_from([2, 16]))
+    total = STEPS_PER_BAR * bars
+    spans, end = [], 0
+    triples = st.tuples(st.integers(0, 4), st.integers(1, 8), st.integers(0, 127))
+    for gap, duration, pitch in draw(st.lists(triples, max_size=total)):
+        onset = end + gap
+        if onset >= total:
+            break
+        end = min(onset + duration, total)
+        spans.append(NoteSpan(pitch, onset, end - onset))
+    return Melody(tuple(spans), bars)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_melodies())
+def test_tokenize_matches_reference(m):
+    assert tokenize(m).tokens == reference_tokenize(m)
 
 
 def test_duration_seconds():

@@ -107,6 +107,24 @@ def test_unknown_meta_preserved_as_other():
     assert events[0].kind.data.endswith(b"abc")
 
 
+def test_midi_event_value_semantics():
+    event = MidiEvent(96, NoteOn(0, 60, 100))
+    same = MidiEvent(tick=96, kind=NoteOn(channel=0, pitch=60, velocity=100))
+    assert event == same and not event != same
+    assert event != MidiEvent(97, NoteOn(0, 60, 100))
+    assert event != MidiEvent(96, NoteOff(0, 60))
+    # a plain (tick, kind) tuple is not an event, from either side
+    pair = (96, NoteOn(0, 60, 100))
+    assert event.__eq__(pair) is NotImplemented
+    assert event != pair and pair != event
+    assert hash(event) == hash(same) == hash(pair)
+    other = MidiEvent(0, Other(b"\xff\x01"))
+    assert {event, same, other} == {same, other}
+    assert same in {event} and pair not in {event}
+    assert repr(event) == "MidiEvent(tick=96, kind=NoteOn(channel=0, pitch=60, velocity=100))"
+    assert not hasattr(event, "__dict__")
+
+
 def vlq(v: int) -> bytes:
     assert v >= 0
     out = [v & 0x7F]

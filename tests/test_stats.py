@@ -186,17 +186,27 @@ def test_bvn_cells_nonnegative_with_normal_margins(rho, row_edges, col_edges):
     assert np.max(np.abs(probs.sum(axis=0) - np.diff(ndtr(col_edges)))) <= 1e-12
 
 
-def test_import_leaves_scipy_optimize_unloaded():
+def _loaded_after_import(module: str, *probes: str) -> list[str]:
+    """Those of ``probes`` in ``sys.modules`` after a fresh interpreter
+    imports ``module`` from this source tree."""
     import latent_lens
 
     src = os.path.dirname(os.path.dirname(latent_lens.__file__))
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     env = {**os.environ, "PYTHONPATH": path}
-    code = "import sys, latent_lens; print('scipy.optimize' in sys.modules)"
+    code = f"import sys, {module}; print(*(m for m in {probes!r} if m in sys.modules))"
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.split()
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    assert _loaded_after_import("latent_lens", "scipy.optimize") == []
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    assert _loaded_after_import("latent_lens.cli", "scipy.special", "scipy.optimize") == []
 
 
 # ---------------------------------------------------------------- phik

@@ -600,6 +600,14 @@ def test_checkpoint_corrupt_rejected(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("data", [b"", b"PK\x03\x04"])
+def test_checkpoint_empty_or_truncated_rejected(tmp_path, data):
+    path = tmp_path / "short.npz"
+    path.write_bytes(data)
+    with pytest.raises(CheckpointError, match="unreadable checkpoint"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_config_mismatch(tmp_path):
     p = init_params(SMALL, 9)
     path = tmp_path / "model.npz"
