@@ -11,7 +11,6 @@ from .melody import (
     NoteSpan,
     TokenSequence,
     detokenize,
-    duration_seconds,
     load_corpus,
     save_corpus,
     tokenize,
@@ -62,17 +61,17 @@ from .vae import (
 )
 from .analysis import (
     ActivationReport,
-    ComparisonReport,
     LatentMatrix,
     NeuronPartition,
+    Report,
+    TooFewMelodies,
     activation_counts,
-    central_value_stats,
+    build_report,
     compare_real_vs_random,
     encode_corpus,
     mu_pearson_matrix,
     neuron_feature_phik,
     neuron_feature_scatter,
-    order_by_sigma,
     partition_neurons,
 )
 

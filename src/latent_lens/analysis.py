@@ -5,7 +5,8 @@ All analyses operate on a :class:`LatentMatrix` (corpus-level stacks of the
 per-melody posterior mu and sigma vectors) and are deterministic given the
 model parameters and corpus.  Latent dimensions are ordered by ascending
 corpus-median sigma; dimensions whose median sigma stays below a threshold
-are "music" dimensions, the rest "noise".
+are "music" dimensions, the rest "noise"; :func:`partition_neurons` decides
+that order once, and every table takes it from the partition.
 """
 
 from __future__ import annotations
@@ -14,12 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stats import BoxplotSummary, PhikConfig, boxplot_summary, phik_matrix
-from .stats import lowess
+from .features import FEATURE_NAMES, extract_corpus_features
+from .melody import detokenize
+from .report import Stopwatch
+from .stats import BoxplotSummary, PhikConfig, boxplot_summary, lowess, phik_matrix
 from .vae import Params, _stack_batch, encode_batch
 
 DEFAULT_SIGMA_THRESHOLD = 0.9
 DEFAULT_ACTIVATION_THRESHOLD = 0.1
+MAX_ORDERED_DIMS = 100  # the Pearson and phik tables cover at most this many
 
 
 @dataclass
@@ -44,9 +48,13 @@ class LatentMatrix:
         return self.mus.shape[1]
 
 
+class TooFewMelodies(ValueError):
+    """The corpus has too few melodies for a meaningful median sigma."""
+
+
 @dataclass(frozen=True)
 class NeuronPartition:
-    order: tuple[int, ...]  # all dims, ascending median sigma
+    order: tuple[int, ...]  # all dims, ascending median sigma, ties by dim index
     music: tuple[int, ...]  # dims with median sigma below the threshold
     noise: tuple[int, ...]
     sigma_threshold: float
@@ -61,15 +69,21 @@ class NeuronPartition:
 class ActivationReport:
     music_counts: np.ndarray  # (n,) per-melody |mu| > threshold counts
     noise_counts: np.ndarray
-    threshold: float
 
 
 @dataclass(frozen=True)
-class ComparisonReport:
-    """Data behind the real-vs-random figures."""
+class Report:
+    """Everything ``latent-lens analyze`` writes, computed without touching a file."""
 
-    real_activation: ActivationReport
-    random_activation: ActivationReport
+    partition: NeuronPartition
+    boxplots: dict[str, list[BoxplotSummary]]  # "sigma" and "mu", in sigma order
+    pearson: np.ndarray  # mu correlations, first ordered dims
+    phik: np.ndarray  # feature x first ordered dims
+    # (ordered neuron, feature, x, y, LOWESS fit) of the strongest R and P pair
+    scatters: list[tuple[int, str, np.ndarray, np.ndarray, np.ndarray]]
+    activation: list[tuple[str, np.ndarray, np.ndarray]]  # (series, bin edges, histogram)
+    dropped: dict  # degenerate feature values and NaN phik cells
+    timings_s: dict[str, float]
 
 
 def encode_corpus(params: Params, corpus, batch_size: int = 256) -> LatentMatrix:
@@ -89,88 +103,62 @@ def encode_corpus(params: Params, corpus, batch_size: int = 256) -> LatentMatrix
     return LatentMatrix(mus, sigmas)
 
 
-def order_by_sigma(lm: LatentMatrix) -> tuple[int, ...]:
-    """Dims sorted by ascending corpus-median sigma, ties by dim index."""
-    medians = np.median(lm.sigmas, axis=0)
-    return tuple(int(i) for i in np.argsort(medians, kind="stable"))
-
-
 def partition_neurons(
     lm: LatentMatrix, sigma_threshold: float = DEFAULT_SIGMA_THRESHOLD
 ) -> NeuronPartition:
-    """Split dims into music (median sigma < threshold) and noise (rest)."""
+    """Order dims by ascending corpus-median sigma, ties by dim index, and
+    split them into music (median sigma < threshold) and noise (the rest)."""
     if lm.n < 10:
-        raise ValueError("need at least 10 melodies for a meaningful median")
-    order = order_by_sigma(lm)
+        raise TooFewMelodies("need at least 10 melodies for a meaningful median")
     medians = np.median(lm.sigmas, axis=0)
+    order = tuple(int(i) for i in np.argsort(medians, kind="stable"))
     music = tuple(i for i in order if medians[i] < sigma_threshold)
     noise = tuple(i for i in order if medians[i] >= sigma_threshold)
     return NeuronPartition(order, music, noise, sigma_threshold)
 
 
-def central_value_stats(
-    lm: LatentMatrix, partition: NeuronPartition
-) -> tuple[list[BoxplotSummary], list[BoxplotSummary]]:
-    """Per-dim boxplot summaries of sigma and mu, in partition order."""
-    sigma_stats = [boxplot_summary(lm.sigmas[:, i]) for i in partition.order]
-    mu_stats = [boxplot_summary(lm.mus[:, i]) for i in partition.order]
-    return sigma_stats, mu_stats
-
-
-def mu_pearson_matrix(lm: LatentMatrix, d_prime: int | None = None) -> np.ndarray:
-    """Pearson correlations of mu columns over the first d' ordered dims,
-    clipped to [-1, 1].
-
-    Constant columns produce NaN rows/columns rather than errors.
-    """
-    if lm.n < 3:
-        raise ValueError("need at least 3 melodies")
-    order = order_by_sigma(lm)
-    d_prime = min(lm.d, 100) if d_prime is None else min(d_prime, lm.d)
-    cols = lm.mus[:, list(order[:d_prime])]
+def mu_pearson_matrix(lm: LatentMatrix, partition: NeuronPartition) -> np.ndarray:
+    """Pearson correlations of mu columns over the first ordered dims (at most
+    ``MAX_ORDERED_DIMS``), clipped to [-1, 1].  Constant columns produce NaN
+    rows/columns rather than errors."""
+    dims = list(partition.order[:MAX_ORDERED_DIMS])
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.corrcoef(cols, rowvar=False).reshape(d_prime, d_prime)
+        r = np.corrcoef(lm.mus[:, dims], rowvar=False).reshape(len(dims), len(dims))
     return np.clip(r, -1.0, 1.0)
 
 
 def neuron_feature_phik(
     lm: LatentMatrix,
+    partition: NeuronPartition,
     features: np.ndarray,
     cfg: PhikConfig | None = None,
-    d_prime: int | None = None,
 ) -> np.ndarray:
-    """phik between every feature column and every ordered mu column."""
-    features = np.asarray(features, dtype=float)
-    if features.shape[0] != lm.n:
-        raise ValueError("feature matrix rows must match the latent matrix")
-    order = order_by_sigma(lm)
-    d_prime = min(lm.d, 100) if d_prime is None else min(d_prime, lm.d)
-    mu_cols = lm.mus[:, list(order[:d_prime])]
-    return phik_matrix(features, mu_cols, cfg)
+    """phik between every feature column and the mu columns of the first
+    ordered dims (at most ``MAX_ORDERED_DIMS``)."""
+    return phik_matrix(features, lm.mus[:, list(partition.order[:MAX_ORDERED_DIMS])], cfg)
 
 
 def neuron_feature_scatter(
     lm: LatentMatrix,
+    partition: NeuronPartition,
     features: np.ndarray,
     feature_names,
     neuron: int,
     feature: str,
-    lowess_frac: float = 0.3,
+    lowess_frac: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(feature values, neuron mu values, LOWESS fit) for one neuron/feature.
 
     ``neuron`` indexes the sigma-ordered dims, matching the heatmap columns.
     """
-    order = order_by_sigma(lm)
-    if not 0 <= neuron < lm.d:
+    if not 0 <= neuron < len(partition.order):
         raise ValueError(f"neuron index {neuron} out of range")
     names = list(feature_names)
     if feature not in names:
         raise ValueError(f"unknown feature {feature!r}")
     x = np.asarray(features, dtype=float)[:, names.index(feature)]
-    y = lm.mus[:, order[neuron]]
-    fit = lowess(x, y, frac=lowess_frac)
-    return x, y, fit
+    y = lm.mus[:, partition.order[neuron]]
+    return x, y, lowess(x, y, frac=lowess_frac)
 
 
 def activation_counts(
@@ -180,11 +168,8 @@ def activation_counts(
 ) -> ActivationReport:
     """Per melody, how many music / noise dims have |mu| above the threshold."""
     act = np.abs(lm.mus) > threshold
-    music = list(partition.music)
-    noise = list(partition.noise)
-    music_counts = act[:, music].sum(axis=1) if music else np.zeros(lm.n, dtype=int)
-    noise_counts = act[:, noise].sum(axis=1) if noise else np.zeros(lm.n, dtype=int)
-    return ActivationReport(music_counts, noise_counts, threshold)
+    return ActivationReport(act[:, list(partition.music)].sum(axis=1),
+                            act[:, list(partition.noise)].sum(axis=1))
 
 
 def compare_real_vs_random(
@@ -193,14 +178,73 @@ def compare_real_vs_random(
     random_corpus,
     partition: NeuronPartition,
     threshold: float = DEFAULT_ACTIVATION_THRESHOLD,
-) -> ComparisonReport:
-    """Activation counts for the two corpora.
-
-    ``real`` is the already-encoded real corpus; only the random corpus is
-    encoded here.
-    """
+) -> tuple[ActivationReport, ActivationReport]:
+    """Activation counts of the already-encoded real corpus and of the random
+    corpus, which is encoded here."""
     rand = encode_corpus(params, random_corpus)
-    return ComparisonReport(
-        real_activation=activation_counts(real, partition, threshold),
-        random_activation=activation_counts(rand, partition, threshold),
-    )
+    return activation_counts(real, partition, threshold), activation_counts(
+        rand, partition, threshold)
+
+
+def build_report(
+    params: Params,
+    corpus,
+    random_corpus,
+    *,
+    sigma_threshold: float,
+    activation_threshold: float,
+    phik_bins: int,
+    lowess_frac: float,
+) -> Report:
+    """The ``analyze`` bundle of ``corpus``: (sequence, tempo) pairs of the
+    model's length, as :func:`melody.load_corpus` returns them.  With a
+    ``random_corpus`` of such pairs, the activation histograms compare the two."""
+    watch = Stopwatch()
+    lm = encode_corpus(params, [seq for seq, _ in corpus])
+    partition = partition_neurons(lm, sigma_threshold)
+    watch.lap("encode")
+
+    boxplots = {
+        "sigma": [boxplot_summary(lm.sigmas[:, i]) for i in partition.order],
+        "mu": [boxplot_summary(lm.mus[:, i]) for i in partition.order],
+    }
+    pearson = mu_pearson_matrix(lm, partition)
+    watch.lap("pearson")
+
+    fmatrix, degenerate = extract_corpus_features(
+        [detokenize(seq, tempo) for seq, tempo in corpus])
+    phik = neuron_feature_phik(lm, partition, fmatrix, PhikConfig(n_bins=phik_bins))
+    dropped = {
+        "degenerate_values": dict(zip(FEATURE_NAMES, degenerate.sum(axis=0).tolist())),
+        "nan_phik_cells": int(np.isnan(phik).sum()),
+    }
+    watch.lap("phik")
+
+    # one scatter per feature family: the strongest (neuron, feature) pair
+    scatters = []
+    with np.errstate(invalid="ignore"):
+        for prefix in ("R", "P"):
+            block = [i for i, name in enumerate(FEATURE_NAMES) if name.startswith(prefix)]
+            sub = phik[block]
+            if not np.isfinite(sub).any():
+                continue
+            row, neuron = np.unravel_index(np.nanargmax(sub), sub.shape)
+            feature = FEATURE_NAMES[block[row]]
+            scatters.append((int(neuron), feature, *neuron_feature_scatter(
+                lm, partition, fmatrix, FEATURE_NAMES, int(neuron), feature, lowess_frac)))
+    watch.lap("scatter")
+
+    if random_corpus is None:
+        act = activation_counts(lm, partition, activation_threshold)
+        series = [("music", act.music_counts), ("noise", act.noise_counts)]
+    else:
+        real, rand = compare_real_vs_random(
+            params, lm, [seq for seq, _ in random_corpus], partition, activation_threshold)
+        series = [("music_corpus", real.music_counts), ("music_random", rand.music_counts),
+                  ("noise_corpus", real.noise_counts), ("noise_random", rand.noise_counts)]
+    max_count = max(1, max(int(np.max(c)) for _, c in series))
+    edges = np.arange(max_count + 2) - 0.5
+    activation = [(name, edges, np.histogram(c, bins=edges)[0]) for name, c in series]
+    watch.lap("activation")
+    return Report(partition, boxplots, pearson, phik, scatters, activation, dropped,
+                  watch.laps)

@@ -83,9 +83,10 @@ def build_parser() -> tuple[_Parser, argparse._SubParsersAction]:
     _add_common(p)
     p.add_argument("midi_dir")
     p.add_argument("out_corpus")
-    p.add_argument("--bars", type=int, default=2, choices=(2, 16))
-    p.add_argument("--max-per-file", type=int, default=5)
-    p.add_argument("--min-notes", type=int, default=3)
+    extraction = midi.ExtractionConfig
+    p.add_argument("--bars", type=int, default=extraction.bars, choices=(2, 16))
+    p.add_argument("--max-per-file", type=int, default=extraction.max_melodies_per_file)
+    p.add_argument("--min-notes", type=int, default=extraction.min_notes)
     p.add_argument("--allow-any-meter", action="store_true",
                    help="do not require a 4/4 time signature event")
 
@@ -93,18 +94,19 @@ def build_parser() -> tuple[_Parser, argparse._SubParsersAction]:
     _add_common(p)
     p.add_argument("--kind", choices=("random", "musical"), required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    randoms, musical = corpus.RandomSeqConfig, corpus.SyntheticConfig
+    p.add_argument("--seed", type=int, default=musical.seed)
     p.add_argument("--out", required=True)
-    p.add_argument("--bars", type=int, default=2, choices=(2, 16))
-    p.add_argument("--n-notes-min", type=int, default=2)
-    p.add_argument("--n-notes-max", type=int, default=32)
-    p.add_argument("--pitch-min", type=int, default=30)
-    p.add_argument("--pitch-max", type=int, default=100)
-    p.add_argument("--duration-s-min", type=int, default=1)
-    p.add_argument("--duration-s-max", type=int, default=8)
-    p.add_argument("--key-root", type=int, default=0)
-    p.add_argument("--step-bias", type=float, default=0.85)
-    p.add_argument("--rhythm-grid", default="1,2,2,4,4,8",
+    p.add_argument("--bars", type=int, default=randoms.bars, choices=(2, 16))
+    p.add_argument("--n-notes-min", type=int, default=randoms.n_notes_min)
+    p.add_argument("--n-notes-max", type=int, default=randoms.n_notes_max)
+    p.add_argument("--pitch-min", type=int, default=randoms.pitch_min)
+    p.add_argument("--pitch-max", type=int, default=randoms.pitch_max)
+    p.add_argument("--duration-s-min", type=int, default=randoms.duration_s_min)
+    p.add_argument("--duration-s-max", type=int, default=randoms.duration_s_max)
+    p.add_argument("--key-root", type=int, default=musical.key_root)
+    p.add_argument("--step-bias", type=float, default=musical.step_bias)
+    p.add_argument("--rhythm-grid", default=",".join(map(str, musical.rhythm_grid)),
                    help="comma-separated step durations (musical corpus)")
 
     p = subs.add_parser("train", help="train the sequence VAE on a corpus")
@@ -112,16 +114,17 @@ def build_parser() -> tuple[_Parser, argparse._SubParsersAction]:
     p.add_argument("--corpus", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--embed-dim", type=int, default=64)
-    p.add_argument("--hidden-dim", type=int, default=128)
-    p.add_argument("--latent-dim", type=int, default=32)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--batch", type=int, default=32)
-    p.add_argument("--beta-max", type=float, default=0.2)
-    p.add_argument("--beta-anneal-steps", type=int, default=2000)
-    p.add_argument("--grad-clip-norm", type=float, default=1.0)
-    p.add_argument("--input-dropout", type=float, default=0.3)
-    p.add_argument("--seed", type=int, default=0)
+    model, training = vae.ModelConfig, vae.TrainConfig
+    p.add_argument("--embed-dim", type=int, default=model.embed_dim)
+    p.add_argument("--hidden-dim", type=int, default=model.hidden_dim)
+    p.add_argument("--latent-dim", type=int, default=model.latent_dim)
+    p.add_argument("--lr", type=float, default=training.lr)
+    p.add_argument("--batch", type=int, default=training.batch)
+    p.add_argument("--beta-max", type=float, default=training.beta_max)
+    p.add_argument("--beta-anneal-steps", type=int, default=training.beta_anneal_steps)
+    p.add_argument("--grad-clip-norm", type=float, default=training.grad_clip_norm)
+    p.add_argument("--input-dropout", type=float, default=training.input_dropout)
+    p.add_argument("--seed", type=int, default=training.seed)
     p.add_argument("--resume", help="checkpoint to continue from")
 
     p = subs.add_parser("analyze", help="produce the latent-space report bundle")
@@ -130,9 +133,11 @@ def build_parser() -> tuple[_Parser, argparse._SubParsersAction]:
     p.add_argument("--corpus", required=True)
     p.add_argument("--random-corpus")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--sigma-threshold", type=float, default=0.9)
-    p.add_argument("--activation-threshold", type=float, default=0.1)
-    p.add_argument("--phik-bins", type=int, default=10)
+    p.add_argument("--sigma-threshold", type=float,
+                   default=analysis.DEFAULT_SIGMA_THRESHOLD)
+    p.add_argument("--activation-threshold", type=float,
+                   default=analysis.DEFAULT_ACTIVATION_THRESHOLD)
+    p.add_argument("--phik-bins", type=int, default=stats.PhikConfig.n_bins)
     p.add_argument("--lowess-frac", type=float, default=0.3)
 
     p = subs.add_parser("roundtrip", help="reconstruct one melody through the VAE")
@@ -366,32 +371,39 @@ def cmd_analyze(args) -> int:
     manifest = report.RunManifest("analyze", vars(args))
     params = _load_checkpoint(args.checkpoint, manifest)
     seq_len = params.config.seq_len
-    kept, n_skipped = _load_model_length_corpus(args.corpus, seq_len)
+    skipped = {}
+    kept, skipped["corpus"] = _load_model_length_corpus(args.corpus, seq_len)
+    manifest.add_input(args.corpus)
+    rand_kept = None
+    if args.random_corpus:
+        rand_kept, skipped["random_corpus"] = _load_model_length_corpus(
+            args.random_corpus, seq_len)
+        manifest.add_input(args.random_corpus)
+    watch.lap("load")
+    try:
+        rep = analysis.build_report(
+            params, kept, rand_kept, sigma_threshold=args.sigma_threshold,
+            activation_threshold=args.activation_threshold, phik_bins=args.phik_bins,
+            lowess_frac=args.lowess_frac)
+    except analysis.TooFewMelodies as err:
+        raise CliInputError(f"corpus {args.corpus} has {len(kept)} usable melodies: {err}")
+
+    write_watch = report.Stopwatch()
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest.add_input(args.corpus)
-    skipped = {"corpus": n_skipped}
-    manifest.dropped["skipped_sequences"] = skipped
 
     def emit(name: str, text: str) -> None:
         report.write_text_atomic(out_dir / name, text)
         manifest.add_output(str(out_dir / name))
 
-    lm = analysis.encode_corpus(params, [seq for seq, _ in kept])
-    try:
-        partition = analysis.partition_neurons(lm, args.sigma_threshold)
-    except ValueError as err:
-        raise CliInputError(f"corpus {args.corpus} has {lm.n} usable melodies: {err}")
-    watch.lap("encode")
-
-    order = partition.order
-    dim_labels = [f"dim{d}" for d in order]
-    sigma_stats, mu_stats = analysis.central_value_stats(lm, partition)
+    partition = rep.partition
+    dim_labels = [f"dim{d}" for d in partition.order]
     header = ["dim", "q1", "median", "q3", "lower_whisker", "upper_whisker", "outliers"]
-    for name, summaries, title in (
-        ("sigma", sigma_stats, "Posterior sigma by latent dim (ascending median)"),
-        ("mu", mu_stats, "Posterior mu by latent dim (sigma order)"),
+    for name, title in (
+        ("sigma", "Posterior sigma by latent dim (ascending median)"),
+        ("mu", "Posterior mu by latent dim (sigma order)"),
     ):
+        summaries = rep.boxplots[name]
         rows = [
             (label, s.q1, s.median, s.q3, s.lower_whisker, s.upper_whisker, s.outlier_count)
             for label, s in zip(dim_labels, summaries)
@@ -399,95 +411,45 @@ def cmd_analyze(args) -> int:
         emit(f"{name}_boxplot.csv", report.csv_text(header, rows))
         emit(f"{name}_boxplot.svg", svg.render_boxplots(summaries, title, name))
 
-    pearson_m = analysis.mu_pearson_matrix(lm)
-    d_prime = pearson_m.shape[0]
-    labels = dim_labels[:d_prime]
-    report.write_matrix_csv(out_dir / "pearson_matrix.csv", pearson_m, labels, labels)
-    manifest.add_output(str(out_dir / "pearson_matrix.csv"))
+    labels = dim_labels[: rep.pearson.shape[0]]
+    emit("pearson_matrix.csv", report.matrix_csv_text(rep.pearson, labels, labels))
     emit("pearson_matrix.svg", svg.render_heatmap(
-        pearson_m, labels, labels, "Pearson correlation of mu", vmin=-1, vmax=1))
-    watch.lap("pearson")
-
-    melodies = [melody.detokenize(seq, tempo) for seq, tempo in kept]
-    fmatrix, degenerate = features.extract_corpus_features(melodies)
-    fnames = features.FEATURE_NAMES
-    manifest.dropped["degenerate_values"] = dict(zip(fnames, degenerate.sum(axis=0).tolist()))
-    phik_cfg = stats.PhikConfig(n_bins=args.phik_bins)
-    phik_m = analysis.neuron_feature_phik(lm, fmatrix, phik_cfg)
-    manifest.dropped["nan_phik_cells"] = int(np.isnan(phik_m).sum())
-    report.write_matrix_csv(
-        out_dir / "feature_phik.csv", phik_m, list(fnames), labels
-    )
-    manifest.add_output(str(out_dir / "feature_phik.csv"))
+        rep.pearson, labels, labels, "Pearson correlation of mu", vmin=-1, vmax=1))
+    fnames = list(features.FEATURE_NAMES)
+    emit("feature_phik.csv", report.matrix_csv_text(rep.phik, fnames, labels))
     emit("feature_phik.svg", svg.render_heatmap(
-        phik_m, list(fnames), labels, "phik: features vs latent dims", vmin=0, vmax=1))
-    watch.lap("phik")
+        rep.phik, fnames, labels, "phik: features vs latent dims", vmin=0, vmax=1))
 
-    # one scatter per feature family: the strongest (neuron, feature) pair
-    with np.errstate(invalid="ignore"):
-        for prefix in ("R", "P"):
-            block = [i for i, nm in enumerate(fnames) if nm.startswith(prefix)]
-            sub = phik_m[block]
-            if not np.isfinite(sub).any():
-                continue
-            flat = np.nanargmax(sub)
-            bi, neuron = np.unravel_index(flat, sub.shape)
-            feature = fnames[block[bi]]
-            x, y, fit = analysis.neuron_feature_scatter(
-                lm, fmatrix, fnames, int(neuron), feature, args.lowess_frac
-            )
-            stem = f"scatter_n{neuron}_{feature}"
-            emit(stem + ".csv", report.csv_text(
-                [feature, f"mu_ordered_{neuron}", "lowess"],
-                zip(x, y, fit),
-            ))
-            emit(stem + ".svg", svg.render_scatter(
-                x, y, x, fit,
-                f"Ordered dim {neuron} vs {feature}", feature, "mu"))
-    watch.lap("scatter")
+    for neuron, feature, x, y, fit in rep.scatters:
+        stem = f"scatter_n{neuron}_{feature}"
+        emit(stem + ".csv", report.csv_text(
+            [feature, f"mu_ordered_{neuron}", "lowess"], zip(x, y, fit)))
+        emit(stem + ".svg", svg.render_scatter(
+            x, y, x, fit, f"Ordered dim {neuron} vs {feature}", feature, "mu"))
 
-    act = analysis.activation_counts(lm, partition, args.activation_threshold)
-    series = [("music", act.music_counts), ("noise", act.noise_counts)]
-    if args.random_corpus:
-        manifest.add_input(args.random_corpus)
-        rand_kept, skipped["random_corpus"] = _load_model_length_corpus(
-            args.random_corpus, seq_len)
-        comp = analysis.compare_real_vs_random(
-            params, lm, [seq for seq, _ in rand_kept], partition, args.activation_threshold
-        )
-        series = [
-            ("music_corpus", comp.real_activation.music_counts),
-            ("music_random", comp.random_activation.music_counts),
-            ("noise_corpus", comp.real_activation.noise_counts),
-            ("noise_random", comp.random_activation.noise_counts),
-        ]
-    max_count = max(1, max(int(np.max(c)) for _, c in series))
-    edges = np.arange(max_count + 2) - 0.5
-    hists = [(name, edges, np.histogram(c, bins=edges)[0]) for name, c in series]
+    counts = zip(*(hist.tolist() for _, _, hist in rep.activation))
     emit("activation_hist.csv", report.csv_text(
-        ["count", *(name for name, _ in series)],
-        [
-            (k, *(int(h[2][k]) for h in hists))
-            for k in range(max_count + 1)
-        ],
-    ))
+        ["count", *(name for name, _, _ in rep.activation)],
+        [(k, *row) for k, row in enumerate(counts)]))
     emit("activation_hist.svg", svg.render_histogram(
-        hists, f"|mu| > {act.threshold:g} activation counts", "active dims"))
-    watch.lap("activation")
+        rep.activation, f"|mu| > {args.activation_threshold:g} activation counts",
+        "active dims"))
 
     partition_payload = {
         "sigma_threshold": partition.sigma_threshold,
         "activation_threshold": args.activation_threshold,
-        "order": list(order),
+        "order": list(partition.order),
         "music": list(partition.music),
         "noise": list(partition.noise),
-        "n_melodies": lm.n,
+        "n_melodies": len(kept),
         "phik_bins": args.phik_bins,
         "checkpoint_sha256": manifest.input_hashes[str(args.checkpoint)],
         "corpus_sha256": manifest.input_hashes[str(args.corpus)],
     }
     emit("partition.json", json.dumps(partition_payload, indent=2) + "\n")
-    manifest.timings_s = watch.laps
+    write_watch.lap("write")
+    manifest.dropped = {"skipped_sequences": skipped, **rep.dropped}
+    manifest.timings_s = {**watch.laps, **rep.timings_s, **write_watch.laps}
     manifest.write(out_dir / "manifest.json")
     log.info("%d music / %d noise dims", len(partition.music), len(partition.noise))
     return 0

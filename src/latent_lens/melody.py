@@ -180,13 +180,6 @@ def detokenize(seq: TokenSequence, tempo_qpm: float = 120.0) -> Melody:
     return Melody(tuple(spans), seq.bars, tempo_qpm)
 
 
-def duration_seconds(seq: TokenSequence, tempo_qpm: float) -> float:
-    """Wall-clock length of a token sequence at the given tempo."""
-    if not tempo_qpm > 0:
-        raise ValueError(f"tempo must be positive, got {tempo_qpm}")
-    return seq.bars * QUARTERS_PER_BAR * 60.0 / tempo_qpm
-
-
 def step_seconds(tempo_qpm: float) -> float:
     """Length of one grid step (a 16th note) in seconds."""
     if not tempo_qpm > 0:

@@ -41,22 +41,16 @@ def csv_text(header: Sequence[str], rows) -> str:
     return buf.getvalue()
 
 
-def write_csv(path: str | Path, header: Sequence[str], rows) -> None:
-    write_text_atomic(path, csv_text(header, rows))
-
-
-def write_matrix_csv(
-    path: str | Path,
-    matrix: np.ndarray,
-    row_labels: Sequence[str],
-    col_labels: Sequence[str],
-) -> None:
-    matrix = np.asarray(matrix)
-    header = ["", *col_labels]
-    rows = []
-    for label, row in zip(row_labels, matrix):
-        rows.append([label, *("" if not np.isfinite(v) else f"{v:.8g}" for v in row)])
-    write_csv(path, header, rows)
+def matrix_csv_text(
+    matrix: np.ndarray, row_labels: Sequence[str], col_labels: Sequence[str]
+) -> str:
+    """A labelled matrix as CSV: values to 8 significant digits, non-finite
+    values as empty cells."""
+    rows = [
+        [label, *("" if not np.isfinite(v) else f"{v:.8g}" for v in row)]
+        for label, row in zip(row_labels, np.asarray(matrix))
+    ]
+    return csv_text(["", *col_labels], rows)
 
 
 def sha256_file(path: str | Path) -> str:

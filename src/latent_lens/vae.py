@@ -62,7 +62,7 @@ class ShapeError(ValueError):
 
 
 class NumericalError(RuntimeError):
-    """A non-finite value appeared during loss or gradient computation."""
+    """A non-finite value appeared in the loss, its gradient or a posterior sigma."""
 
 
 class CheckpointError(ValueError):
@@ -387,7 +387,8 @@ def _encoder_forward(p: Params, emb: np.ndarray, inv: np.ndarray, ws: _Workspace
 def encode_batch(p: Params, batch) -> tuple[np.ndarray, np.ndarray]:
     """Encode many sequences at once; returns (mus, sigmas) as (n, d) arrays.
 
-    The training pass's exact result, from a scan that keeps only h."""
+    The training pass's exact result, from a scan that keeps only h.  Finite
+    weights can still put a sigma out of float range: that raises NumericalError."""
     tokens = _stack_batch(batch, p.config.seq_len)
     ids, inv = _token_ids(tokens)
     table = p.embed[ids] @ p.enc_wx + p.enc_b
@@ -402,7 +403,12 @@ def encode_batch(p: Params, batch) -> tuple[np.ndarray, np.ndarray]:
         h, h_next = h_next, h
     mu = h @ p.w_mu + p.b_mu
     logvar = h @ p.w_logvar + p.b_logvar
-    return mu, np.exp(0.5 * logvar)
+    with np.errstate(over="ignore"):
+        sigma = np.exp(0.5 * logvar)
+    if not np.all((sigma > 0) & (sigma < np.inf)):
+        raise NumericalError("posterior sigma out of float range (logvar "
+                             f"{logvar.min():.4g} to {logvar.max():.4g})")
+    return mu, sigma
 
 
 def encode(p: Params, seq: TokenSequence) -> LatentEncoding:

@@ -231,7 +231,7 @@ def test_criterion_6_neuron_feature_identification(desk_model, musical_corpus_2b
 
         fmatrix, _ = features.extract_corpus_features(musical_corpus_2bar)
         fnames = features.FEATURE_NAMES
-        phik_m = analysis.neuron_feature_phik(lm, fmatrix, PHIK_CFG)
+        phik_m = analysis.neuron_feature_phik(lm, partition, fmatrix, PHIK_CFG)
         p_scores = _block_scores(phik_m, fnames, "P")
         r_scores = _block_scores(phik_m, fnames, "R")
         best_p = int(np.nanargmax(p_scores[:n_music]))
@@ -243,7 +243,7 @@ def test_criterion_6_neuron_feature_identification(desk_model, musical_corpus_2b
         assert r_scores[best_r] > noise_r, "a noise neuron beats the rhythm neuron"
 
         shuffled = fmatrix[np.random.default_rng(99).permutation(fmatrix.shape[0])]
-        null = analysis.neuron_feature_phik(lm, shuffled, PHIK_CFG)
+        null = analysis.neuron_feature_phik(lm, partition, shuffled, PHIK_CFG)
         null_max = float(np.nanmax(null))
         assert null_max < 0.15, f"permutation null reached {null_max:.3f}"
         print(f"    (P neuron {best_p}@{p_scores[best_p]:.2f} vs noise {noise_p:.2f}; "
@@ -261,16 +261,16 @@ def test_criterion_7_random_vs_music_separation(desk_model, musical_seqs_2bar):
         partition = analysis.partition_neurons(lm, 0.9)
         random_mels = corpus.gen_random_corpus(corpus.RandomSeqConfig(), 2000, seed=123)
         random_seqs = [melody.tokenize(m) for m in random_mels]
-        comp = analysis.compare_real_vs_random(
+        real, rand = analysis.compare_real_vs_random(
             params, lm, random_seqs, partition, threshold=0.1
         )
-        music_median = float(np.median(comp.real_activation.noise_counts))
-        random_median = float(np.median(comp.random_activation.noise_counts))
+        music_median = float(np.median(real.noise_counts))
+        random_median = float(np.median(rand.noise_counts))
         assert random_median > music_median, (
             f"noise medians: random {random_median} vs music {music_median}"
         )
-        m_music = float(np.median(comp.real_activation.music_counts))
-        m_random = float(np.median(comp.random_activation.music_counts))
+        m_music = float(np.median(real.music_counts))
+        m_random = float(np.median(rand.music_counts))
         tol = 0.2 * len(partition.music)
         assert abs(m_music - m_random) <= tol, (
             f"music medians {m_music} vs {m_random} differ beyond {tol}"
@@ -322,12 +322,11 @@ def test_criterion_9_sixteen_bar_configuration(
 
         params16, _, seqs16 = desk_model_16bar
         assert params16.config.seq_len == 256 and params16.config.latent_dim == 64
-        lm16 = analysis.encode_corpus(params16, seqs16)
-        part16 = analysis.partition_neurons(lm16, 0.9)
-        music16 = len(part16.music)
         # the full analysis stack must run at this length too
-        analysis.central_value_stats(lm16, part16)
-        analysis.mu_pearson_matrix(lm16)
+        report16 = analysis.build_report(
+            params16, [(seq, 120.0) for seq in seqs16], None, sigma_threshold=0.9,
+            activation_threshold=0.1, phik_bins=10, lowess_frac=0.3)
+        music16 = len(report16.partition.music)
         assert music16 >= music2, f"16-bar music dims {music16} < 2-bar {music2}"
         print(f"    (music dims: 16-bar {music16} vs 2-bar {music2})")
 

@@ -1,17 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from latent_lens import vae
 from latent_lens.analysis import (
     LatentMatrix,
+    TooFewMelodies,
     activation_counts,
-    central_value_stats,
+    build_report,
     compare_real_vs_random,
     encode_corpus,
     mu_pearson_matrix,
     neuron_feature_phik,
     neuron_feature_scatter,
-    order_by_sigma,
     partition_neurons,
 )
 from latent_lens.melody import TokenSequence
@@ -31,22 +33,43 @@ def synthetic_lm(n=50, d=6, seed=0, music=2):
     return LatentMatrix(mus, np.abs(sigmas))
 
 
+def shaped_params(music=2, d=6, seed=0):
+    """SMALL weights whose encoder gives ``music`` dims a small constant sigma
+    and a spread mu, and every other dim sigma 1 and mu 0."""
+    p = vae.init_params(dataclasses.replace(SMALL, latent_dim=d), seed)
+    p.w_logvar[:] = 0.0
+    p.b_logvar[:] = 0.0
+    p.b_logvar[:music] = 2.0 * np.log(0.2)
+    p.w_mu[:, music:] = 0.0
+    p.b_mu[:] = 0.0
+    p.w_mu[:, :music] *= 5.0
+    return p
+
+
+def report_of(params, n=40, random_n=None):
+    rng = np.random.default_rng(0)
+    entries = [(random_seq(rng), 120.0) for _ in range(n)]
+    randoms = None if random_n is None else [(random_seq(rng), 90.0) for _ in range(random_n)]
+    return build_report(params, entries, randoms, sigma_threshold=0.9,
+                        activation_threshold=0.1, phik_bins=4, lowess_frac=0.3)
+
+
 def test_order_by_sigma_simple():
     lm = LatentMatrix(
         np.zeros((11, 3)),
         np.tile(np.array([1.0, 0.2, 0.9]), (11, 1)),
     )
-    assert order_by_sigma(lm) == (1, 2, 0)
+    assert partition_neurons(lm).order == (1, 2, 0)
 
 
 def test_order_is_permutation_and_stable():
     rng = np.random.default_rng(1)
     lm = LatentMatrix(np.zeros((20, 8)), np.abs(rng.standard_normal((20, 8))) + 0.1)
-    order = order_by_sigma(lm)
+    order = partition_neurons(lm).order
     assert sorted(order) == list(range(8))
     # duplicate medians keep index order
     lm2 = LatentMatrix(np.zeros((10, 4)), np.ones((10, 4)))
-    assert order_by_sigma(lm2) == (0, 1, 2, 3)
+    assert partition_neurons(lm2).order == (0, 1, 2, 3)
 
 
 def test_partition_music_first():
@@ -73,39 +96,41 @@ def test_partition_monotone_in_threshold():
 
 def test_partition_needs_enough_rows():
     lm = LatentMatrix(np.zeros((5, 3)), np.ones((5, 3)))
-    with pytest.raises(ValueError):
+    with pytest.raises(TooFewMelodies):
         partition_neurons(lm)
 
 
 def test_central_value_stats_shapes():
-    lm = synthetic_lm()
-    part = partition_neurons(lm)
-    sigma_stats, mu_stats = central_value_stats(lm, part)
-    assert len(sigma_stats) == lm.d and len(mu_stats) == lm.d
+    rep = report_of(shaped_params(music=2, d=6))
+    sigma_stats, mu_stats = rep.boxplots["sigma"], rep.boxplots["mu"]
+    assert len(sigma_stats) == 6 and len(mu_stats) == 6
+    assert set(rep.partition.music) == {0, 1}
     # music dims come first and have wider mu spread than noise dims
     music_iqr = mu_stats[0].q3 - mu_stats[0].q1
-    noise_iqrs = [s.q3 - s.q1 for s in mu_stats[len(part.music):]]
+    noise_iqrs = [s.q3 - s.q1 for s in mu_stats[len(rep.partition.music):]]
     assert music_iqr > max(noise_iqrs)
+    assert sigma_stats[0].median == pytest.approx(0.2)
 
 
 def test_central_value_stats_constant_column():
-    mus = np.zeros((15, 3))
-    lm = LatentMatrix(mus, np.ones((15, 3)))
-    part = partition_neurons(lm)
-    _, mu_stats = central_value_stats(lm, part)
-    assert mu_stats[0].q1 == mu_stats[0].q3 == 0.0
+    params = shaped_params(music=0, d=3)  # mu is 0 for every melody
+    rep = report_of(params, n=15)
+    assert rep.boxplots["mu"][0].q1 == rep.boxplots["mu"][0].q3 == 0.0
+    # constant columns leave the tables empty, not the report
+    assert np.isnan(rep.pearson).all() and np.isnan(rep.phik).all()
+    assert rep.scatters == [] and rep.dropped["nan_phik_cells"] == rep.phik.size
 
 
 def test_mu_pearson_matrix_properties():
     lm = synthetic_lm(n=200, d=5, music=3)
-    m = mu_pearson_matrix(lm)
+    m = mu_pearson_matrix(lm, partition_neurons(lm))
     assert m.shape == (5, 5)
     assert np.allclose(np.diag(m), 1.0)
     assert np.allclose(m, m.T, equal_nan=True)
     lm.mus[:, 2] = 7.0  # constant column -> missing entries
-    m2 = mu_pearson_matrix(lm)
-    order = order_by_sigma(lm)
-    pos = order.index(2)
+    part = partition_neurons(lm)
+    m2 = mu_pearson_matrix(lm, part)
+    pos = part.order.index(2)
     assert np.isnan(m2[pos]).all()
 
 
@@ -117,8 +142,8 @@ def test_equivariance_under_dim_relabeling():
     part_p = partition_neurons(lm_p)
     # new dim j holds old dim perm[j]; the same underlying dims are selected
     assert {int(perm[j]) for j in part_p.music} == set(part.music)
-    a = mu_pearson_matrix(lm)
-    b = mu_pearson_matrix(lm_p)
+    a = mu_pearson_matrix(lm, part)
+    b = mu_pearson_matrix(lm_p, part_p)
     assert np.allclose(a, b, equal_nan=True)  # sigma order cancels the perm
 
 
@@ -188,7 +213,7 @@ def test_neuron_feature_phik_shape_and_null():
     sigmas = np.ones((n, d))
     sigmas[:, 0] = 0.2
     lm = LatentMatrix(mus, sigmas)
-    m = neuron_feature_phik(lm, feats, PhikConfig(n_bins=5))
+    m = neuron_feature_phik(lm, partition_neurons(lm), feats, PhikConfig(n_bins=5))
     assert m.shape == (3, d)
     assert np.nanargmax(m[1]) == 0  # ordered first dim is the informative one
 
@@ -199,13 +224,15 @@ def test_neuron_feature_scatter_output():
     feats = rng.standard_normal((n, 2))
     mus = np.column_stack([feats[:, 0] * 2.0, 0.01 * rng.standard_normal(n)])
     lm = LatentMatrix(mus, np.column_stack([np.full(n, 0.3), np.ones(n)]))
+    part = partition_neurons(lm)
     x, y, fit = neuron_feature_scatter(
-        lm, feats, ("F1", "F2"), neuron=0, feature="F1"
+        lm, part, feats, ("F1", "F2"), neuron=0, feature="F1", lowess_frac=0.3
     )
     assert len(x) == len(y) == len(fit) == n
     assert np.max(np.abs(fit - y)) < 1e-6  # exactly linear relation
     with pytest.raises(ValueError):
-        neuron_feature_scatter(lm, feats, ("F1", "F2"), neuron=0, feature="nope")
+        neuron_feature_scatter(lm, part, feats, ("F1", "F2"), neuron=0, feature="nope",
+                               lowess_frac=0.3)
 
 
 def test_compare_identical_corpora_identical_histograms():
@@ -214,7 +241,18 @@ def test_compare_identical_corpora_identical_histograms():
     seqs = [random_seq(rng) for _ in range(15)]
     lm = encode_corpus(p, seqs)
     part = partition_neurons(lm)
-    comp = compare_real_vs_random(p, lm, seqs, part)
-    assert np.array_equal(
-        comp.real_activation.music_counts, comp.random_activation.music_counts
-    )
+    real, rand = compare_real_vs_random(p, lm, seqs, part)
+    assert np.array_equal(real.music_counts, rand.music_counts)
+    assert np.array_equal(real.noise_counts, rand.noise_counts)
+
+
+def test_build_report_activation_series():
+    params = shaped_params(music=2, d=6)
+    alone = report_of(params, n=30)
+    assert [name for name, _, _ in alone.activation] == ["music", "noise"]
+    paired = report_of(params, n=30, random_n=20)
+    names = [name for name, _, _ in paired.activation]
+    assert names == ["music_corpus", "music_random", "noise_corpus", "noise_random"]
+    for name, edges, hist in paired.activation:
+        assert hist.sum() == (20 if name.endswith("random") else 30)
+        assert len(hist) == len(edges) - 1

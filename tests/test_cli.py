@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import warnings
@@ -6,7 +7,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from latent_lens import cli, melody, midi, report, vae
+from latent_lens import analysis, cli, melody, midi, report, stats, vae
 from latent_lens.corpus import RandomSeqConfig, SyntheticConfig, gen_musical_corpus
 from latent_lens.features import FEATURE_NAMES
 from latent_lens.melody import load_corpus
@@ -327,12 +328,78 @@ def test_analyze_requires_compatible_checkpoint(tiny_run, tmp_path):
                "--out-dir", str(tmp_path / "r")) == 1
 
 
-def test_analyze_too_small_corpus_is_input_error(tiny_run, tmp_path):
+def test_analyze_too_small_corpus_is_input_error(tiny_run, tmp_path, caplog):
     _, corpus_path, _, train_dir, _ = tiny_run
     small = tmp_path / "small.jsonl"
     small.write_text("".join(corpus_path.read_text().splitlines(keepends=True)[:5]))
     assert run("analyze", "--checkpoint", str(train_dir / "checkpoint.npz"),
                "--corpus", str(small), "--out-dir", str(tmp_path / "r")) == 1
+    assert caplog.messages[-1] == (f"corpus {small} has 5 usable melodies: "
+                                   "need at least 10 melodies for a meaningful median")
+    assert not (tmp_path / "r").exists()
+
+
+def test_analyze_missing_random_corpus_is_input_error(tiny_run, tmp_path, caplog):
+    _, corpus_path, _, train_dir, _ = tiny_run
+    missing = tmp_path / "missing.jsonl"
+    assert run("analyze", "--checkpoint", str(train_dir / "checkpoint.npz"),
+               "--corpus", str(corpus_path), "--random-corpus", str(missing),
+               "--out-dir", str(tmp_path / "r")) == 1
+    assert caplog.messages[-1] == (
+        f"cannot read corpus: [Errno 2] No such file or directory: '{missing}'")
+
+
+def test_analyze_manifest_lists_exactly_the_files_written(tiny_run, tmp_path):
+    _, corpus_path, _, train_dir, out_dir = tiny_run
+    alone = tmp_path / "alone"  # no --random-corpus
+    assert run("analyze", "--checkpoint", str(train_dir / "checkpoint.npz"),
+               "--corpus", str(corpus_path), "--out-dir", str(alone),
+               "--phik-bins", "4") == 0
+    for directory in (out_dir, alone):
+        manifest = json.loads((directory / "manifest.json").read_text())
+        written = sorted(str(p) for p in directory.iterdir() if p.name != "manifest.json")
+        assert manifest["outputs"] == written
+    assert (out_dir / "activation_hist.csv").read_text().splitlines()[0] == (
+        "count,music_corpus,music_random,noise_corpus,noise_random")
+    lines = (alone / "activation_hist.csv").read_text().splitlines()
+    assert lines[0] == "count,music,noise"
+    counts = np.array([[int(v) for v in line.split(",")] for line in lines[1:]])
+    assert counts[:, 1].sum() == counts[:, 2].sum() == 120
+
+
+def test_build_report_is_pure(tiny_run, tmp_path, monkeypatch):
+    _, corpus_path, rand_path, train_dir, out_dir = tiny_run
+    params = vae.load_checkpoint(train_dir / "checkpoint.npz")
+    entries, randoms = load_corpus(corpus_path), load_corpus(rand_path)
+    workdir = tmp_path / "cwd"
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)
+    rep = analysis.build_report(
+        params, entries, randoms, sigma_threshold=0.9, activation_threshold=0.1,
+        phik_bins=4, lowess_frac=0.3)
+    assert list(workdir.iterdir()) == []
+    payload = json.loads((out_dir / "partition.json").read_text())
+    part = rep.partition
+    assert (list(part.order), list(part.music), list(part.noise)) == (
+        payload["order"], payload["music"], payload["noise"])
+    for name, matrix in (("feature_phik.csv", rep.phik), ("pearson_matrix.csv", rep.pearson)):
+        cells = [line.split(",")[1:] for line in (out_dir / name).read_text().splitlines()[1:]]
+        assert cells == [["" if np.isnan(v) else "%.8g" % v for v in row] for row in matrix]
+
+
+@pytest.mark.parametrize("command", ["analyze", "roundtrip"])
+def test_sigma_out_of_float_range_is_numerical_failure(tiny_run, tmp_path, caplog, command):
+    _, corpus_path, _, train_dir, _ = tiny_run
+    params = vae.load_checkpoint(train_dir / "checkpoint.npz")
+    params.b_logvar[:] = -2000.0  # finite weights, but exp(-1000) underflows to 0
+    ckpt = tmp_path / "underflow.npz"
+    vae.save_checkpoint(params, ckpt)
+    one = tmp_path / "one.jsonl"
+    one.write_text(corpus_path.read_text().splitlines()[0] + "\n")
+    inputs = {"analyze": ["--corpus", str(corpus_path)], "roundtrip": ["--melody", str(one)]}
+    assert run(command, "--checkpoint", str(ckpt), *inputs[command],
+               "--out-dir", str(tmp_path / "out")) == 2
+    assert caplog.messages[-1].startswith("numerical failure: posterior sigma")
 
 
 def test_roundtrip_outputs(tiny_run, tmp_path):
@@ -404,3 +471,42 @@ def test_config_file_defaults_and_override(tmp_path):
 
 def test_unknown_command_is_input_error():
     assert run("frobnicate") == 1
+
+
+def test_flag_defaults_are_the_config_defaults():
+    parser, _ = cli.build_parser()
+
+    def parse(*argv) -> dict:
+        return vars(parser.parse_args(list(argv)))
+
+    def defaults(cls) -> dict:
+        return {f.name: f.default for f in dataclasses.fields(cls)
+                if f.default is not dataclasses.MISSING}
+
+    ingest = parse("ingest", "midi_dir", "out.jsonl")
+    extraction = defaults(midi.ExtractionConfig)
+    assert ingest["bars"] == extraction["bars"]
+    assert ingest["max_per_file"] == extraction["max_melodies_per_file"]
+    assert ingest["min_notes"] == extraction["min_notes"]
+    assert ingest["allow_any_meter"] is not extraction["require_four_four"]
+
+    gen = parse("gen", "--kind", "random", "--n", "1", "--out", "out.jsonl")
+    for name, value in defaults(RandomSeqConfig).items():
+        assert gen[name] == value, name
+    musical = defaults(SyntheticConfig)
+    for name in ("key_root", "step_bias", "bars", "seed"):
+        assert gen[name] == musical[name], name
+    assert gen["rhythm_grid"] == ",".join(map(str, musical["rhythm_grid"]))
+
+    train = parse("train", "--corpus", "corpus.jsonl", "--out-dir", "out")
+    model = defaults(vae.ModelConfig)
+    for name in ("embed_dim", "hidden_dim", "latent_dim"):
+        assert train[name] == model[name], name
+    for name, value in defaults(vae.TrainConfig).items():
+        assert train[name] == value, name
+
+    analyze = parse("analyze", "--checkpoint", "c.npz", "--corpus", "corpus.jsonl",
+                    "--out-dir", "out")
+    assert analyze["sigma_threshold"] == analysis.DEFAULT_SIGMA_THRESHOLD
+    assert analyze["activation_threshold"] == analysis.DEFAULT_ACTIVATION_THRESHOLD
+    assert analyze["phik_bins"] == defaults(stats.PhikConfig)["n_bins"]

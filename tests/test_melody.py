@@ -17,7 +17,6 @@ from latent_lens.melody import (
     NoteSpan,
     TokenSequence,
     detokenize,
-    duration_seconds,
     tokenize,
 )
 
@@ -221,18 +220,6 @@ def _melodies(draw):
 @given(_melodies())
 def test_tokenize_matches_reference(m):
     assert tokenize(m).tokens == reference_tokenize(m)
-
-
-def test_duration_seconds():
-    seq = tokenize(Melody((), 2, 120.0))
-    assert duration_seconds(seq, 120.0) == 4.0
-    assert duration_seconds(seq, 60.0) == 8.0
-    seq16 = tokenize(Melody((), 16, 120.0))
-    assert duration_seconds(seq16, 120.0) == 32.0
-    with pytest.raises(ValueError):
-        duration_seconds(seq, 0.0)
-    with pytest.raises(ValueError):
-        duration_seconds(seq, -10.0)
 
 
 def test_jsonl_roundtrip(tmp_path):
