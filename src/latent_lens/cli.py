@@ -71,16 +71,7 @@ def _apply_config_defaults(sub: argparse.ArgumentParser, values: dict[str, str])
     sub.set_defaults(**defaults)
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="flat key=value config file; flags override it")
-
-
-def build_parser() -> tuple[_Parser, argparse._SubParsersAction]:
-    parser = _Parser(prog="latent-lens", description=__doc__)
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("ingest", help="extract a melody corpus from MIDI files")
-    _add_common(p)
+def _ingest_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("midi_dir")
     p.add_argument("out_corpus")
     extraction = midi.ExtractionConfig
@@ -90,8 +81,8 @@ def build_parser() -> tuple[_Parser, argparse._SubParsersAction]:
     p.add_argument("--allow-any-meter", action="store_true",
                    help="do not require a 4/4 time signature event")
 
-    p = subs.add_parser("gen", help="generate a random or synthetic-music corpus")
-    _add_common(p)
+
+def _gen_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kind", choices=("random", "musical"), required=True)
     p.add_argument("--n", type=int, required=True)
     randoms, musical = corpus.RandomSeqConfig, corpus.SyntheticConfig
@@ -109,8 +100,8 @@ def build_parser() -> tuple[_Parser, argparse._SubParsersAction]:
     p.add_argument("--rhythm-grid", default=",".join(map(str, musical.rhythm_grid)),
                    help="comma-separated step durations (musical corpus)")
 
-    p = subs.add_parser("train", help="train the sequence VAE on a corpus")
-    _add_common(p)
+
+def _train_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--corpus", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--epochs", type=int, default=30)
@@ -127,8 +118,8 @@ def build_parser() -> tuple[_Parser, argparse._SubParsersAction]:
     p.add_argument("--seed", type=int, default=training.seed)
     p.add_argument("--resume", help="checkpoint to continue from")
 
-    p = subs.add_parser("analyze", help="produce the latent-space report bundle")
-    _add_common(p)
+
+def _analyze_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--random-corpus")
@@ -140,22 +131,51 @@ def build_parser() -> tuple[_Parser, argparse._SubParsersAction]:
     p.add_argument("--phik-bins", type=int, default=stats.PhikConfig.n_bins)
     p.add_argument("--lowess-frac", type=float, default=0.3)
 
-    p = subs.add_parser("roundtrip", help="reconstruct one melody through the VAE")
-    _add_common(p)
+
+def _roundtrip_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--melody", required=True, help="single-line JSONL melody")
     p.add_argument("--out-dir", required=True)
     p.add_argument("-k", type=int, default=3, help="number of sampled variations")
     p.add_argument("--seed", type=int, default=0)
 
+
+# each subcommand's help line and the function that adds its arguments
+_SUBCOMMANDS = {
+    "ingest": ("extract a melody corpus from MIDI files", _ingest_args),
+    "gen": ("generate a random or synthetic-music corpus", _gen_args),
+    "train": ("train the sequence VAE on a corpus", _train_args),
+    "analyze": ("produce the latent-space report bundle", _analyze_args),
+    "roundtrip": ("reconstruct one melody through the VAE", _roundtrip_args),
+}
+
+
+def build_parser(command: str | None = None) -> tuple[_Parser, argparse._SubParsersAction]:
+    """The command-line parser.  Every subcommand is registered, so the
+    top-level usage and help list them all; given ``command``, only that
+    subcommand gets its arguments, which is all one call parses."""
+    parser = _Parser(prog="latent-lens", description=__doc__)
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments) in _SUBCOMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        if command is None or command == name:
+            sub.add_argument("--config",
+                             help="flat key=value config file; flags override it")
+            add_arguments(sub)
     return parser, subs
 
 
-def _load_corpus_file(path: str) -> list[tuple[melody.TokenSequence, float]]:
+def _load_corpus_file(path: str, manifest: report.RunManifest
+                      ) -> list[tuple[melody.TokenSequence, float]]:
+    """Parse a corpus from one read of its file, and record the SHA-256 of
+    the bytes parsed as an input of ``manifest``."""
     try:
-        entries = melody.load_corpus(path)
+        data = Path(path).read_bytes()
     except OSError as err:
         raise CliInputError(f"cannot read corpus: {err}")
+    manifest.add_input(path, data)
+    try:
+        entries = melody.load_corpus(data)
     except (melody.InvalidTokenSequence, ValueError, KeyError) as err:
         raise CliInputError(f"malformed corpus {path}: {err}")
     if not entries:
@@ -275,7 +295,8 @@ def _history_offset_csv(prior_rows: list[str], history, offset: int) -> str:
 
 def cmd_train(args) -> int:
     watch = report.Stopwatch()
-    entries = _load_corpus_file(args.corpus)
+    manifest = report.RunManifest("train", vars(args))
+    entries = _load_corpus_file(args.corpus, manifest)
     bars = entries[0][0].bars
     seqs = [seq for seq, _ in entries if seq.bars == bars]
     if len(seqs) < len(entries):
@@ -283,7 +304,6 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    manifest = report.RunManifest("train", vars(args))
     prior_rows: list[str] = []
     offset = 0
     if args.resume:
@@ -329,7 +349,6 @@ def cmd_train(args) -> int:
         out_dir / "history.csv", _history_offset_csv(prior_rows, history, offset)
     )
     watch.lap("write")
-    manifest.add_input(args.corpus)
     manifest.add_output(str(ckpt_path))
     manifest.add_output(str(out_dir / "history.csv"))
     manifest.timings_s = watch.laps
@@ -356,10 +375,10 @@ def _load_checkpoint(path: str, manifest: report.RunManifest) -> vae.Params:
         raise CliInputError(str(err))
 
 
-def _load_model_length_corpus(path: str, seq_len: int):
+def _load_model_length_corpus(path: str, seq_len: int, manifest: report.RunManifest):
     """The corpus entries whose sequences have the model's length, and the
     number of entries dropped for another length."""
-    entries = _load_corpus_file(path)
+    entries = _load_corpus_file(path, manifest)
     kept = [(seq, tempo) for seq, tempo in entries if len(seq) == seq_len]
     if not kept:
         raise CliInputError(f"no sequence in {path} matches the checkpoint length")
@@ -372,13 +391,11 @@ def cmd_analyze(args) -> int:
     params = _load_checkpoint(args.checkpoint, manifest)
     seq_len = params.config.seq_len
     skipped = {}
-    kept, skipped["corpus"] = _load_model_length_corpus(args.corpus, seq_len)
-    manifest.add_input(args.corpus)
+    kept, skipped["corpus"] = _load_model_length_corpus(args.corpus, seq_len, manifest)
     rand_kept = None
     if args.random_corpus:
         rand_kept, skipped["random_corpus"] = _load_model_length_corpus(
-            args.random_corpus, seq_len)
-        manifest.add_input(args.random_corpus)
+            args.random_corpus, seq_len, manifest)
     watch.lap("load")
     try:
         rep = analysis.build_report(
@@ -458,7 +475,7 @@ def cmd_analyze(args) -> int:
 def cmd_roundtrip(args) -> int:
     manifest = report.RunManifest("roundtrip", vars(args))
     params = _load_checkpoint(args.checkpoint, manifest)
-    entries = _load_corpus_file(args.melody)
+    entries = _load_corpus_file(args.melody, manifest)
     if len(entries) != 1:
         raise CliInputError(f"expected exactly one melody, got {len(entries)}")
     seq, tempo = entries[0]
@@ -466,17 +483,17 @@ def cmd_roundtrip(args) -> int:
         raise CliInputError("melody length does not match the checkpoint")
     if args.k < 0:
         raise CliInputError("-k must be >= 0")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest.add_input(args.melody)
 
     rng = np.random.default_rng(args.seed)
     enc = vae.encode(params, seq)
     zs = [enc.mu] + [vae.sample_latent(enc, rng) for _ in range(args.k)]
     names = ["greedy"] + [f"sample_{i + 1:02d}" for i in range(args.k)]
+    decoded = vae.decode(params, np.stack(zs))
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     lines = []
-    for name, out_seq in zip(names, vae.decode(params, np.stack(zs))):
+    for name, out_seq in zip(names, decoded):
         lines.append(melody.to_json_line(out_seq, tempo))
         mid_path = out_dir / f"{name}.mid"
         mid_path.write_bytes(midi.write_midi(melody.detokenize(out_seq, tempo)))
@@ -499,13 +516,13 @@ _COMMANDS = {
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, subs = build_parser()
+    sub_name = argv[0] if argv and not argv[0].startswith("-") else None
+    parser, subs = build_parser(sub_name)
     try:
         if "--config" in argv:
             idx = argv.index("--config")
             if idx + 1 >= len(argv):
                 raise CliInputError("--config requires a path")
-            sub_name = argv[0] if argv and not argv[0].startswith("-") else None
             sub = subs.choices.get(sub_name or "")
             if sub is None:
                 raise CliInputError("--config requires a subcommand")

@@ -12,10 +12,11 @@ Corpora of token sequences are stored as JSONL, one object per line:
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 STEPS_PER_QUARTER = 4
 QUARTERS_PER_BAR = 4
@@ -210,16 +211,13 @@ def save_corpus(path: str | Path, entries: Iterable[tuple[TokenSequence, float]]
     return count
 
 
-def iter_corpus(path: str | Path) -> Iterator[tuple[TokenSequence, float]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield from_json_line(line)
-
-
-def load_corpus(path: str | Path) -> list[tuple[TokenSequence, float]]:
-    return list(iter_corpus(path))
+def load_corpus(source: str | Path | bytes) -> list[tuple[TokenSequence, float]]:
+    """The (token sequence, tempo) pairs of a JSONL corpus: the file at a
+    path, or the bytes of a corpus file that the caller has already read."""
+    data = source if isinstance(source, bytes) else Path(source).read_bytes()
+    # newline=None splits lines as a file opened in text mode does
+    lines = io.StringIO(data.decode("utf-8"), newline=None)
+    return [from_json_line(line) for line in map(str.strip, lines) if line]
 
 
 def melodies_to_entries(melodies: Iterable[Melody]) -> list[tuple[TokenSequence, float]]:

@@ -27,18 +27,23 @@ bit-identical to the training encoder.  Decoding is greedy and batched:
 ``decode`` scans all its latent rows at once, gathering each step's gate
 input from a table over the whole vocabulary.
 
-The training pass writes its large (T, B, .) arrays (gathered gate inputs,
-scan states and gates, logits and the backward scans' gradients) into a
-``_Workspace``: named float64 buffers that outlive one call.  ``train``
-makes one per run, and gradient clipping and Adam keep their temporaries in
-one too, so every step after the first writes into the memory of the step
-before instead of mapping fresh pages; the public
-``elbo_loss`` and ``elbo_loss_and_grads`` make one per call, and nothing
-they return aliases it.  The gathers use ``np.take(..., mode="clip",
-out=...)``: with the default ``mode="raise"`` numpy fills a hidden
-temporary and copies it into ``out``, so that a bad index leaves ``out``
-untouched.  The indices are table rows made here, always in range.
-``encode_batch`` allocates its step buffers once per call.
+The training pass writes the large (T, B, .) arrays that backprop reads
+(scan states and gates, logits and the backward scans' gate gradients)
+into a ``_Workspace``: named float64 buffers that outlive one call.  The
+scans gather their gate inputs from token tables a few steps at a time
+(``_GATHER_BYTES``), and the backward decoder scan computes each step's
+output gradient in the step, so neither is held for the whole sequence:
+at B = 32 with the default model the workspace holds 14.7 MiB at 2 bars
+and 113.0 MiB at 16 bars.  ``train`` makes one per run, and gradient
+clipping and Adam keep their temporaries in one too, so every step after
+the first writes into the memory of the step before instead of mapping
+fresh pages; the public ``elbo_loss`` and ``elbo_loss_and_grads`` make
+one per call, and nothing they return aliases it.  The gathers use
+``np.take(..., mode="clip", out=...)``: with the default ``mode="raise"``
+numpy fills a hidden temporary and copies it into ``out``, so that a bad
+index leaves ``out`` untouched.  The indices are table rows made here,
+always in range.  ``encode_batch`` allocates its step buffers once per
+call.
 """
 
 from __future__ import annotations
@@ -276,49 +281,69 @@ def _gru_step(g_t: np.ndarray, h: np.ndarray, wh: np.ndarray, out=None):
     return h_new, ru, c
 
 
-def _gru_forward(g: np.ndarray, wh: np.ndarray, h0: np.ndarray, ws: _Workspace,
-                 name: str):
+# Gate inputs are gathered a few steps at a time into a buffer of at most
+# this many bytes (or one step's, if that is larger): a small batch then
+# gathers its whole sequence in one call, and a large one holds no
+# (T, B, 3H) copy.
+_GATHER_BYTES = 1 << 18
+
+
+def _gru_forward(table: np.ndarray, idx: np.ndarray, wh: np.ndarray, h0: np.ndarray,
+                 ws: _Workspace, name: str, adds=()):
     """Run the cell over time, into the workspace arrays ``name`` + "_hs",
     "_ru" and "_c".
 
-    g: (T, B, 3H) input contributions (x @ Wx + b), gate order [r | u | c].
-    Returns (hs, ru, c): hidden states (T+1, B, H) with h0 first, and the
-    gates (T, B, 2H) and (T, B, H) for backprop.
+    Step t's input contribution (x @ Wx + b, gate order [r | u | c]) is
+    gathered from the (rows, 3H) ``table`` at the (B,) rows ``idx[t]``, and
+    each array of ``adds`` is then added to it in turn; the gathers go into
+    one workspace buffer of a few steps.  Returns (hs, ru, c): hidden states
+    (T+1, B, H) with h0 first, and the gates (T, B, 2H) and (T, B, H) for
+    backprop.
     """
-    t_len, b, h3 = g.shape
-    hs = ws.get(name + "_hs", (t_len + 1, b, h3 // 3))
+    t_len, b = idx.shape
+    h_dim = wh.shape[0]
+    hs = ws.get(name + "_hs", (t_len + 1, b, h_dim))
     hs[0] = h0
-    ru_all = ws.get(name + "_ru", (t_len, b, 2 * h3 // 3))
-    c_all = ws.get(name + "_c", (t_len, b, h3 // 3))
-    tmp = ws.get("gru_tmp", (b, h3 // 3))
-    for t in range(t_len):
-        _gru_step(g[t], hs[t], wh, (hs[t + 1], ru_all[t], c_all[t], tmp))
+    ru_all = ws.get(name + "_ru", (t_len, b, 2 * h_dim))
+    c_all = ws.get(name + "_c", (t_len, b, h_dim))
+    tmp = ws.get("gru_tmp", (b, h_dim))
+    chunk = max(1, _GATHER_BYTES // (8 * b * 3 * h_dim))
+    for t0 in range(0, t_len, chunk):
+        rows = idx[t0 : t0 + chunk]
+        g = np.take(table, rows, axis=0, mode="clip",
+                    out=ws.get("gru_g", (rows.shape[0], b, 3 * h_dim)))
+        for add in adds:
+            g += add
+        for t, g_t in enumerate(g, t0):
+            _gru_step(g_t, hs[t], wh, (hs[t + 1], ru_all[t], c_all[t], tmp))
     return hs, ru_all, c_all
 
 
 def _gru_backward(wh: np.ndarray, hs: np.ndarray, ru_all: np.ndarray,
                   c_all: np.ndarray, dh: np.ndarray, ws: _Workspace,
-                  dhs: np.ndarray | None = None):
+                  dys: np.ndarray | None = None, w_out: np.ndarray | None = None):
     """Backprop through the cell.
 
-    dh: (B, H) gradient at the last state; dhs: (T, B, H) gradients arriving
-    at each output state, if any.  Returns (dg_ru, dg_c, dwh, dh0), the input
-    contribution's gradient split into (T, B, 2H) and (T, B, H).  dg_ru and
-    dg_c are the workspace's "dg_ru" and "dg_c", which the next backward
-    scan overwrites.
+    dh: (B, H) gradient at the last state.  dys, if given, are the (T, B, V)
+    gradients of outputs y[t] = hs[t + 1] @ w_out (+ a bias); each step adds
+    its state's share dys[t] @ w_out.T, computed into a (B, H) workspace
+    buffer.  Returns (dg_ru, dg_c, dwh, dh0), the input contribution's
+    gradient split into (T, B, 2H) and (T, B, H).  dg_ru and dg_c are the
+    workspace's "dg_ru" and "dg_c", which the next backward scan overwrites.
     """
     t_len, b, h_dim = c_all.shape
     wh_ru = wh[:, : 2 * h_dim]
     wh_c = wh[:, 2 * h_dim :]
     dg_ru = ws.get("dg_ru", ru_all.shape)
     dg_c = ws.get("dg_c", c_all.shape)
+    dh_out = None if dys is None else ws.get("dh_out", (b, h_dim))
     for t in range(t_len - 1, -1, -1):
         h_prev = hs[t]
         r = ru_all[t, :, :h_dim]
         u = ru_all[t, :, h_dim:]
         c = c_all[t]
-        if dhs is not None:
-            dh = dh + dhs[t]
+        if dys is not None:
+            dh = dh + np.matmul(dys[t], w_out.T, out=dh_out)
         dg_ru[t, :, h_dim:] = dh * (h_prev - c) * u * (1.0 - u)
         dg_c[t] = dac = dh * (1.0 - u) * (1.0 - c * c)
         ds = dac @ wh_c.T
@@ -375,11 +400,8 @@ def _token_sums(idx: np.ndarray, rows: int, dg_ru: np.ndarray, dg_c: np.ndarray,
 
 def _encoder_forward(p: Params, emb: np.ndarray, inv: np.ndarray, ws: _Workspace):
     """Training encoder over the rows ``emb`` = embed[ids] of ``_token_ids``."""
-    b, t_len = inv.shape
-    h_dim = p.config.hidden_dim
-    g_enc = np.take(emb @ p.enc_wx + p.enc_b, inv.T, axis=0, mode="clip",
-                    out=ws.get("g_enc", (t_len, b, 3 * h_dim)))
-    enc = _gru_forward(g_enc, p.enc_wh, np.zeros((b, h_dim)), ws, "enc")
+    enc = _gru_forward(emb @ p.enc_wx + p.enc_b, inv.T, p.enc_wh,
+                       np.zeros((inv.shape[0], p.config.hidden_dim)), ws, "enc")
     h_t = enc[0][-1]
     return enc, h_t @ p.w_mu + p.b_mu, h_t @ p.w_logvar + p.b_logvar
 
@@ -476,18 +498,16 @@ def _loss_forward(p: Params, tokens: np.ndarray, beta: float, eps: np.ndarray,
     z = mu + sigma * eps
 
     # decoder position t reads token t - 1; position 0 and blanked
-    # positions read the spare row, zeroed
+    # positions read the spare row, zeroed.  Each step's gate input is
+    # table row + z @ dec_wz + dec_b, summed in that order.
     dec_idx = np.full((t_len, b), ids.size - 1)
     dec_idx[1:] = inv.T[:-1]
     if keep_mask is not None:
         dec_idx[keep_mask.T == 0] = ids.size - 1
     table = emb @ p.dec_wx
     table[-1] = 0.0
-    g_dec = np.take(table, dec_idx, axis=0, mode="clip",
-                    out=ws.get("g_dec", (t_len, b, table.shape[1])))
-    g_dec += z @ p.dec_wz
-    g_dec += p.dec_b
-    dec = _gru_forward(g_dec, p.dec_wh, np.tanh(z @ p.z_w + p.z_b), ws, "dec")
+    dec = _gru_forward(table, dec_idx, p.dec_wh, np.tanh(z @ p.z_w + p.z_b), ws, "dec",
+                       (z @ p.dec_wz, p.dec_b))
     logits = np.matmul(dec[0][1:], p.out_w, out=ws.get("logits", (t_len, b, p.config.vocab)))
     logits += p.out_b
 
@@ -535,9 +555,8 @@ def _loss_backward(p: Params, tokens: np.ndarray, beta: float, eps: np.ndarray,
     grads["out_w"] = h_flat.T @ dl_flat
     grads["out_b"] = dl_flat.sum(axis=0)
 
-    dhs = np.matmul(dlogits, p.out_w.T, out=ws.get("dhs", (t_len, b, cfg.hidden_dim)))
     dg_ru, dg_c, grads["dec_wh"], dh0 = _gru_backward(
-        p.dec_wh, *dec, np.zeros((b, cfg.hidden_dim)), ws, dhs
+        p.dec_wh, *dec, np.zeros((b, cfg.hidden_dim)), ws, dlogits, p.out_w
     )
     dtok_dec = _token_sums(dec_idx, ids.size, dg_ru, dg_c, ws)
     grads["dec_wx"] = emb.T @ dtok_dec

@@ -224,6 +224,57 @@ def test_checkpoint_is_read_once_and_hashed_as_loaded(tiny_run, tmp_path, monkey
     assert str(ckpt) not in hashed
 
 
+@pytest.mark.parametrize("command", ["train", "analyze", "roundtrip"])
+def test_corpus_is_hashed_as_parsed(tiny_run, tmp_path, monkeypatch, command):
+    """Each corpus is read once: a file rewritten while the command runs is
+    still recorded by the SHA-256 of the bytes the command parsed, and no
+    input file is read again to hash it."""
+    _, corpus_path, rand_path, train_dir, _ = tiny_run
+    ckpt = str(train_dir / "checkpoint.npz")
+    lines = corpus_path.read_text().splitlines(keepends=True)
+    sources = {"corpus": "".join(lines), "random": rand_path.read_text(),
+               "one": lines[0]}
+    paths = {}
+    for name, text in sources.items():
+        paths[name] = tmp_path / f"{name}.jsonl"
+        paths[name].write_text(text)
+    runs = {
+        "train": (vae, "train", ["--corpus", str(paths["corpus"]), "--epochs", "1",
+                                 "--embed-dim", "8", "--hidden-dim", "8",
+                                 "--latent-dim", "4"]),
+        "analyze": (analysis, "build_report",
+                    ["--checkpoint", ckpt, "--corpus", str(paths["corpus"]),
+                     "--random-corpus", str(paths["random"]), "--phik-bins", "4"]),
+        "roundtrip": (vae, "encode", ["--checkpoint", ckpt, "--melody", str(paths["one"]),
+                                      "-k", "1"]),
+    }
+    module, func, argv = runs[command]
+    original = getattr(module, func)
+
+    def rewriting(*args, **kwargs):
+        for path in paths.values():
+            path.write_text(lines[1])
+        return original(*args, **kwargs)
+
+    hashed = []
+    sha256_file = report.sha256_file
+
+    def recording_sha256_file(path):
+        hashed.append(str(path))
+        return sha256_file(path)
+
+    monkeypatch.setattr(module, func, rewriting)
+    monkeypatch.setattr(report, "sha256_file", recording_sha256_file)
+    out = tmp_path / "out"
+    assert run(command, *argv, "--out-dir", str(out)) == 0
+    assert hashed == []
+    hashes = json.loads((out / "manifest.json").read_text())["input_hashes"]
+    hashes.pop(ckpt, None)
+    read = {str(paths[name]): hashlib.sha256(text.encode()).hexdigest()
+            for name, text in sources.items() if str(paths[name]) in argv}
+    assert hashes == read
+
+
 def test_missing_checkpoint_is_input_error(tiny_run, tmp_path, caplog):
     _, corpus_path, _, _, _ = tiny_run
     missing = tmp_path / "missing.npz"
@@ -400,6 +451,7 @@ def test_sigma_out_of_float_range_is_numerical_failure(tiny_run, tmp_path, caplo
     assert run(command, "--checkpoint", str(ckpt), *inputs[command],
                "--out-dir", str(tmp_path / "out")) == 2
     assert caplog.messages[-1].startswith("numerical failure: posterior sigma")
+    assert not (tmp_path / "out").exists()  # a failed run leaves no output dir
 
 
 def test_roundtrip_outputs(tiny_run, tmp_path):
@@ -471,6 +523,31 @@ def test_config_file_defaults_and_override(tmp_path):
 
 def test_unknown_command_is_input_error():
     assert run("frobnicate") == 1
+
+
+def test_top_level_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run("--help")
+    assert exit_info.value.code == 0
+    assert "{ingest,gen,train,analyze,roundtrip}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["ingest", "mids", "out.jsonl", "--bars", "16", "--allow-any-meter"],
+    ["gen", "--kind", "musical", "--n", "5", "--out", "o.jsonl", "--step-bias", "0.5"],
+    ["train", "--corpus", "c.jsonl", "--out-dir", "o", "--lr", "0.01", "--resume", "m.npz"],
+    ["analyze", "--checkpoint", "m.npz", "--corpus", "c.jsonl", "--out-dir", "o",
+     "--phik-bins", "5", "--config", "a.cfg"],
+    ["roundtrip", "--checkpoint", "m.npz", "--melody", "m.jsonl", "--out-dir", "o", "-k", "1"],
+])
+def test_parser_built_for_one_command_parses_as_the_full_one(argv):
+    """``build_parser(command)`` adds only that command's arguments, and
+    parses its command lines, and prints its help, as the full parser does."""
+    full_parser, full_subs = cli.build_parser()
+    parser, subs = cli.build_parser(argv[0])
+    assert vars(parser.parse_args(argv)) == vars(full_parser.parse_args(argv))
+    assert subs.choices[argv[0]].format_help() == full_subs.choices[argv[0]].format_help()
+    assert parser.format_help() == full_parser.format_help()
 
 
 def test_flag_defaults_are_the_config_defaults():
