@@ -27,9 +27,7 @@ from .corpus import (
 from .features import FEATURE_NAMES, FeatureVector, extract_corpus_features, extract_features
 from .stats import (
     BoxplotSummary,
-    ContingencyTable,
     DegenerateBinningError,
-    PhikConfig,
     boxplot_summary,
     bvn_cell_probs,
     chi2,
@@ -40,7 +38,6 @@ from .stats import (
 )
 from .vae import (
     CheckpointError,
-    LatentEncoding,
     ModelConfig,
     NumericalError,
     Params,
@@ -55,12 +52,10 @@ from .vae import (
     gaussian_kl,
     init_params,
     load_checkpoint,
-    sample_latent,
     save_checkpoint,
     train,
 )
 from .analysis import (
-    ActivationReport,
     LatentMatrix,
     NeuronPartition,
     Report,

@@ -18,7 +18,7 @@ import numpy as np
 from .features import FEATURE_NAMES, extract_corpus_features
 from .melody import detokenize
 from .report import Stopwatch
-from .stats import BoxplotSummary, PhikConfig, boxplot_summary, lowess, phik_matrix
+from .stats import PHIK_BINS, BoxplotSummary, boxplot_summary, lowess, phik_matrix
 from .vae import Params, _stack_batch, encode_batch
 
 DEFAULT_SIGMA_THRESHOLD = 0.9
@@ -63,12 +63,6 @@ class NeuronPartition:
         dims = set(self.music) | set(self.noise)
         if set(self.order) != dims or len(self.music) + len(self.noise) != len(self.order):
             raise ValueError("music and noise must partition the ordered dims")
-
-
-@dataclass(frozen=True)
-class ActivationReport:
-    music_counts: np.ndarray  # (n,) per-melody |mu| > threshold counts
-    noise_counts: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -131,32 +125,27 @@ def neuron_feature_phik(
     lm: LatentMatrix,
     partition: NeuronPartition,
     features: np.ndarray,
-    cfg: PhikConfig | None = None,
+    n_bins: int = PHIK_BINS,
 ) -> np.ndarray:
     """phik between every feature column and the mu columns of the first
     ordered dims (at most ``MAX_ORDERED_DIMS``)."""
-    return phik_matrix(features, lm.mus[:, list(partition.order[:MAX_ORDERED_DIMS])], cfg)
+    return phik_matrix(features, lm.mus[:, list(partition.order[:MAX_ORDERED_DIMS])], n_bins)
 
 
 def neuron_feature_scatter(
     lm: LatentMatrix,
     partition: NeuronPartition,
     features: np.ndarray,
-    feature_names,
     neuron: int,
     feature: str,
     lowess_frac: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(feature values, neuron mu values, LOWESS fit) for one neuron/feature.
+    """(feature values, neuron mu values, LOWESS fit) for one neuron and one
+    of ``FEATURE_NAMES``, the columns of ``features``.
 
     ``neuron`` indexes the sigma-ordered dims, matching the heatmap columns.
     """
-    if not 0 <= neuron < len(partition.order):
-        raise ValueError(f"neuron index {neuron} out of range")
-    names = list(feature_names)
-    if feature not in names:
-        raise ValueError(f"unknown feature {feature!r}")
-    x = np.asarray(features, dtype=float)[:, names.index(feature)]
+    x = np.asarray(features, dtype=float)[:, FEATURE_NAMES.index(feature)]
     y = lm.mus[:, partition.order[neuron]]
     return x, y, lowess(x, y, frac=lowess_frac)
 
@@ -165,11 +154,11 @@ def activation_counts(
     lm: LatentMatrix,
     partition: NeuronPartition,
     threshold: float = DEFAULT_ACTIVATION_THRESHOLD,
-) -> ActivationReport:
-    """Per melody, how many music / noise dims have |mu| above the threshold."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per melody, how many music and how many noise dims have |mu| above the
+    threshold: two (n,) count arrays."""
     act = np.abs(lm.mus) > threshold
-    return ActivationReport(act[:, list(partition.music)].sum(axis=1),
-                            act[:, list(partition.noise)].sum(axis=1))
+    return act[:, list(partition.music)].sum(axis=1), act[:, list(partition.noise)].sum(axis=1)
 
 
 def compare_real_vs_random(
@@ -178,9 +167,9 @@ def compare_real_vs_random(
     random_corpus,
     partition: NeuronPartition,
     threshold: float = DEFAULT_ACTIVATION_THRESHOLD,
-) -> tuple[ActivationReport, ActivationReport]:
-    """Activation counts of the already-encoded real corpus and of the random
-    corpus, which is encoded here."""
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """:func:`activation_counts` of the already-encoded real corpus and of the
+    random corpus, which is encoded here."""
     rand = encode_corpus(params, random_corpus)
     return activation_counts(real, partition, threshold), activation_counts(
         rand, partition, threshold)
@@ -213,7 +202,7 @@ def build_report(
 
     fmatrix, degenerate = extract_corpus_features(
         [detokenize(seq, tempo) for seq, tempo in corpus])
-    phik = neuron_feature_phik(lm, partition, fmatrix, PhikConfig(n_bins=phik_bins))
+    phik = neuron_feature_phik(lm, partition, fmatrix, phik_bins)
     dropped = {
         "degenerate_values": dict(zip(FEATURE_NAMES, degenerate.sum(axis=0).tolist())),
         "nan_phik_cells": int(np.isnan(phik).sum()),
@@ -231,17 +220,17 @@ def build_report(
             row, neuron = np.unravel_index(np.nanargmax(sub), sub.shape)
             feature = FEATURE_NAMES[block[row]]
             scatters.append((int(neuron), feature, *neuron_feature_scatter(
-                lm, partition, fmatrix, FEATURE_NAMES, int(neuron), feature, lowess_frac)))
+                lm, partition, fmatrix, int(neuron), feature, lowess_frac)))
     watch.lap("scatter")
 
     if random_corpus is None:
-        act = activation_counts(lm, partition, activation_threshold)
-        series = [("music", act.music_counts), ("noise", act.noise_counts)]
+        music, noise = activation_counts(lm, partition, activation_threshold)
+        series = [("music", music), ("noise", noise)]
     else:
-        real, rand = compare_real_vs_random(
+        (music, noise), (rand_music, rand_noise) = compare_real_vs_random(
             params, lm, [seq for seq, _ in random_corpus], partition, activation_threshold)
-        series = [("music_corpus", real.music_counts), ("music_random", rand.music_counts),
-                  ("noise_corpus", real.noise_counts), ("noise_random", rand.noise_counts)]
+        series = [("music_corpus", music), ("music_random", rand_music),
+                  ("noise_corpus", noise), ("noise_random", rand_noise)]
     max_count = max(1, max(int(np.max(c)) for _, c in series))
     edges = np.arange(max_count + 2) - 0.5
     activation = [(name, edges, np.histogram(c, bins=edges)[0]) for name, c in series]

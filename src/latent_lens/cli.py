@@ -128,7 +128,7 @@ def _analyze_args(p: argparse.ArgumentParser) -> None:
                    default=analysis.DEFAULT_SIGMA_THRESHOLD)
     p.add_argument("--activation-threshold", type=float,
                    default=analysis.DEFAULT_ACTIVATION_THRESHOLD)
-    p.add_argument("--phik-bins", type=int, default=stats.PhikConfig.n_bins)
+    p.add_argument("--phik-bins", type=int, default=stats.PHIK_BINS)
     p.add_argument("--lowess-frac", type=float, default=0.3)
 
 
@@ -193,12 +193,15 @@ def cmd_ingest(args) -> int:
     )
     if not paths:
         raise CliInputError(f"no .mid/.midi files under {args.midi_dir}")
-    cfg = midi.ExtractionConfig(
-        bars=args.bars,
-        max_melodies_per_file=args.max_per_file,
-        min_notes=args.min_notes,
-        require_four_four=not args.allow_any_meter,
-    )
+    try:
+        cfg = midi.ExtractionConfig(
+            bars=args.bars,
+            max_melodies_per_file=args.max_per_file,
+            min_notes=args.min_notes,
+            require_four_four=not args.allow_any_meter,
+        )
+    except ValueError as err:
+        raise CliInputError(str(err))
 
     # each file is read once: the bytes parsed are the bytes hashed
     manifest = report.RunManifest("ingest", vars(args))
@@ -296,49 +299,45 @@ def _history_offset_csv(prior_rows: list[str], history, offset: int) -> str:
 def cmd_train(args) -> int:
     watch = report.Stopwatch()
     manifest = report.RunManifest("train", vars(args))
+    params = _load_checkpoint(args.resume, manifest) if args.resume else None
     entries = _load_corpus_file(args.corpus, manifest)
-    bars = entries[0][0].bars
-    seqs = [seq for seq, _ in entries if seq.bars == bars]
-    if len(seqs) < len(entries):
-        log.warning("dropped %d sequences with mismatched bars", len(entries) - len(seqs))
+    seq_len = len(entries[0][0]) if params is None else params.config.seq_len
+    kept, skipped = _keep_model_length(entries, seq_len, args.corpus)
+    manifest.dropped = {"skipped_sequences": {"corpus": skipped}}
+    try:
+        tcfg = vae.TrainConfig(
+            epochs=args.epochs,
+            lr=args.lr,
+            batch=args.batch,
+            beta_max=args.beta_max,
+            beta_anneal_steps=args.beta_anneal_steps,
+            grad_clip_norm=args.grad_clip_norm,
+            seed=args.seed,
+            input_dropout=args.input_dropout,
+        )
+        if params is None:
+            mcfg = vae.ModelConfig(
+                embed_dim=args.embed_dim,
+                hidden_dim=args.hidden_dim,
+                latent_dim=args.latent_dim,
+                seq_len=seq_len,
+            )
+            params = vae.init_params(mcfg, args.seed)
+    except ValueError as err:
+        raise CliInputError(str(err))
+
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
     prior_rows: list[str] = []
     offset = 0
-    if args.resume:
-        params = _load_checkpoint(args.resume, manifest)
-        history_path = out_dir / "history.csv"
-        if history_path.exists():
-            prior_rows = history_path.read_text().strip().splitlines()[1:]
-            if prior_rows:
-                offset = int(prior_rows[-1].split(",")[0]) + 1
-    else:
-        mcfg = vae.ModelConfig(
-            embed_dim=args.embed_dim,
-            hidden_dim=args.hidden_dim,
-            latent_dim=args.latent_dim,
-            seq_len=16 * bars,
-        )
-        params = vae.init_params(mcfg, args.seed)
-    if params.config.seq_len != 16 * bars:
-        raise CliInputError(
-            f"checkpoint expects {params.config.bars}-bar input, corpus has {bars}"
-        )
-
-    tcfg = vae.TrainConfig(
-        epochs=args.epochs,
-        lr=args.lr,
-        batch=args.batch,
-        beta_max=args.beta_max,
-        beta_anneal_steps=args.beta_anneal_steps,
-        grad_clip_norm=args.grad_clip_norm,
-        seed=args.seed,
-        input_dropout=args.input_dropout,
-    )
+    history_path = out_dir / "history.csv"
+    if args.resume and history_path.exists():
+        prior_rows = history_path.read_text().strip().splitlines()[1:]
+        if prior_rows:
+            offset = int(prior_rows[-1].split(",")[0]) + 1
     ckpt_path = out_dir / "checkpoint.npz"
     try:
-        params, history = vae.train(params, seqs, tcfg)
+        params, history = vae.train(params, [seq for seq, _ in kept], tcfg)
     except vae.TrainingDiverged as err:
         params, history = err.params, err.history
         manifest.error = f"training diverged: {err}"
@@ -346,11 +345,11 @@ def cmd_train(args) -> int:
 
     vae.save_checkpoint(params, ckpt_path)
     report.write_text_atomic(
-        out_dir / "history.csv", _history_offset_csv(prior_rows, history, offset)
+        history_path, _history_offset_csv(prior_rows, history, offset)
     )
     watch.lap("write")
     manifest.add_output(str(ckpt_path))
-    manifest.add_output(str(out_dir / "history.csv"))
+    manifest.add_output(str(history_path))
     manifest.timings_s = watch.laps
     manifest.write(out_dir / "manifest.json")
     if manifest.error:
@@ -375,27 +374,34 @@ def _load_checkpoint(path: str, manifest: report.RunManifest) -> vae.Params:
         raise CliInputError(str(err))
 
 
-def _load_model_length_corpus(path: str, seq_len: int, manifest: report.RunManifest):
-    """The corpus entries whose sequences have the model's length, and the
-    number of entries dropped for another length."""
-    entries = _load_corpus_file(path, manifest)
+def _keep_model_length(entries, seq_len: int, path: str):
+    """The entries of the corpus at ``path`` whose sequences have the model's
+    length, and the number of entries dropped for another length."""
     kept = [(seq, tempo) for seq, tempo in entries if len(seq) == seq_len]
     if not kept:
         raise CliInputError(f"no sequence in {path} matches the checkpoint length")
+    if len(kept) < len(entries):
+        log.warning("%s: skipped %d sequences whose length is not %d",
+                    path, len(entries) - len(kept), seq_len)
     return kept, len(entries) - len(kept)
 
 
 def cmd_analyze(args) -> int:
     watch = report.Stopwatch()
     manifest = report.RunManifest("analyze", vars(args))
+    if args.phik_bins < 2:
+        raise CliInputError("--phik-bins must be >= 2")
+    if not 0.0 < args.lowess_frac <= 1.0:
+        raise CliInputError("--lowess-frac must lie in (0, 1]")
     params = _load_checkpoint(args.checkpoint, manifest)
     seq_len = params.config.seq_len
     skipped = {}
-    kept, skipped["corpus"] = _load_model_length_corpus(args.corpus, seq_len, manifest)
+    kept, skipped["corpus"] = _keep_model_length(
+        _load_corpus_file(args.corpus, manifest), seq_len, args.corpus)
     rand_kept = None
     if args.random_corpus:
-        rand_kept, skipped["random_corpus"] = _load_model_length_corpus(
-            args.random_corpus, seq_len, manifest)
+        rand_kept, skipped["random_corpus"] = _keep_model_length(
+            _load_corpus_file(args.random_corpus, manifest), seq_len, args.random_corpus)
     watch.lap("load")
     try:
         rep = analysis.build_report(
@@ -484,11 +490,10 @@ def cmd_roundtrip(args) -> int:
     if args.k < 0:
         raise CliInputError("-k must be >= 0")
 
-    rng = np.random.default_rng(args.seed)
-    enc = vae.encode(params, seq)
-    zs = [enc.mu] + [vae.sample_latent(enc, rng) for _ in range(args.k)]
+    mu, sigma = vae.encode(params, seq)
+    draws = mu + sigma * np.random.default_rng(args.seed).standard_normal((args.k, mu.size))
     names = ["greedy"] + [f"sample_{i + 1:02d}" for i in range(args.k)]
-    decoded = vae.decode(params, np.stack(zs))
+    decoded = vae.decode(params, np.vstack((mu, draws)))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -96,10 +96,6 @@ class Melody:
     def total_steps(self) -> int:
         return STEPS_PER_BAR * self.bars
 
-    @property
-    def pitches(self) -> tuple[int, ...]:
-        return tuple(span.pitch for span in self.spans)
-
 
 @dataclass(frozen=True)
 class TokenSequence:

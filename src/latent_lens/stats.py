@@ -38,31 +38,12 @@ _Z_CLIP = 8.5  # standard-normal mass beyond this is ~1e-17, below rounding
 _LOG_HALF_PI = math.log(0.5 * math.pi)
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(40)  # on [-1, 1]
 _GL_NODES, _GL_WEIGHTS = 0.5 * (_GL_X + 1.0), 0.5 * _GL_W  # on [0, 1]
+PHIK_BINS = 10  # equal-width bins over each series' range
+_RHO_TOL = 1e-4  # phik's bisection stops when its bracket is this narrow
 
 
 class DegenerateBinningError(ValueError):
     """The inputs cannot be binned into at least a 2 x 2 table."""
-
-
-@dataclass(frozen=True)
-class PhikConfig:
-    n_bins: int = 10  # equal-width bins over each series' range
-    rho_tol: float = 1e-4
-
-    def __post_init__(self) -> None:
-        if self.n_bins < 2:
-            raise ValueError("n_bins must be >= 2")
-        if not self.rho_tol > 0:
-            raise ValueError("rho_tol must be positive")
-
-
-@dataclass(frozen=True)
-class ContingencyTable:
-    counts: np.ndarray  # (r, c) non-negative integers
-
-    @property
-    def n(self) -> int:
-        return int(self.counts.sum())
 
 
 @dataclass(frozen=True)
@@ -84,30 +65,32 @@ def _bin_series(v: np.ndarray, n_bins: int) -> np.ndarray:
     return np.searchsorted(edges[1:-1], v, side="right")
 
 
-def contingency(x, y, cfg: PhikConfig | None = None) -> ContingencyTable:
-    """Cross-tabulate two series; empty marginal bins are dropped."""
-    cfg = cfg or PhikConfig()
+def contingency(x, y, n_bins: int = PHIK_BINS) -> np.ndarray:
+    """Cross-tabulate two series into an (r, c) count array; empty marginal
+    bins are dropped."""
+    if n_bins < 2:
+        raise ValueError("n_bins must be >= 2")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 1 or x.shape != y.shape:
         raise ValueError("inputs must be equal-length 1-D series")
     if x.size < 2:
         raise ValueError("need at least two observations")
-    ix = _bin_series(x, cfg.n_bins)
-    iy = _bin_series(y, cfg.n_bins)
-    counts = np.zeros((cfg.n_bins, cfg.n_bins), dtype=np.int64)
+    ix = _bin_series(x, n_bins)
+    iy = _bin_series(y, n_bins)
+    counts = np.zeros((n_bins, n_bins), dtype=np.int64)
     np.add.at(counts, (ix, iy), 1)
     keep_r = counts.sum(axis=1) > 0
     keep_c = counts.sum(axis=0) > 0
     counts = counts[keep_r][:, keep_c]
     if counts.shape[0] < 2 or counts.shape[1] < 2:
         raise DegenerateBinningError("fewer than 2 occupied bins on a margin")
-    return ContingencyTable(counts)
+    return counts
 
 
-def chi2(table: ContingencyTable) -> float:
-    """Pearson chi-square statistic of a contingency table."""
-    counts = np.asarray(table.counts, dtype=float)
+def chi2(counts) -> float:
+    """Pearson chi-square statistic of an (r, c) contingency count array."""
+    counts = np.asarray(counts, dtype=float)
     total = counts.sum()
     if total <= 0:
         raise ValueError("table has no observations")
@@ -170,19 +153,18 @@ def _bvn_chi2(rho: float, n: float, p_row: np.ndarray, p_col: np.ndarray,
     return float(n * (((q - indep) ** 2) / indep).sum())
 
 
-def phik(x, y, cfg: PhikConfig | None = None) -> float:
+def phik(x, y, n_bins: int = PHIK_BINS) -> float:
     """Nonlinear correlation in [0, 1] via chi-square -> bivariate-normal rho.
 
     Bins both series, computes the observed chi-square, and bisects for the
     rho whose binned bivariate normal produces the same chi-square against
     independence.  Saturated dependence clamps to 1.0.
     """
-    cfg = cfg or PhikConfig()
-    table = contingency(x, y, cfg)
-    observed = chi2(table)
+    counts = contingency(x, y, n_bins)
+    observed = chi2(counts)
     if observed <= 0.0:
         return 0.0
-    counts = np.asarray(table.counts, dtype=float)
+    counts = counts.astype(float)
     n = counts.sum()
     p_row = counts.sum(axis=1) / n
     p_col = counts.sum(axis=0) / n
@@ -192,11 +174,11 @@ def phik(x, y, cfg: PhikConfig | None = None) -> float:
     def curve(rho: float) -> float:
         return _bvn_chi2(rho, n, p_row, p_col, row_edges, col_edges)
 
-    hi = 1.0 - cfg.rho_tol
+    hi = 1.0 - _RHO_TOL
     if observed >= curve(hi):
         return 1.0
     lo = 0.0
-    while hi - lo > cfg.rho_tol:
+    while hi - lo > _RHO_TOL:
         mid = 0.5 * (lo + hi)
         if curve(mid) < observed:
             lo = mid
@@ -205,7 +187,7 @@ def phik(x, y, cfg: PhikConfig | None = None) -> float:
     return 0.5 * (lo + hi)
 
 
-def phik_matrix(a: np.ndarray, b: np.ndarray, cfg: PhikConfig | None = None) -> np.ndarray:
+def phik_matrix(a: np.ndarray, b: np.ndarray, n_bins: int = PHIK_BINS) -> np.ndarray:
     """Pairwise phik between columns of ``a`` and ``b``.
 
     Degenerate pairs (constant or unbinnable columns) are reported as NaN.
@@ -218,7 +200,7 @@ def phik_matrix(a: np.ndarray, b: np.ndarray, cfg: PhikConfig | None = None) -> 
     for i in range(a.shape[1]):
         for j in range(b.shape[1]):
             try:
-                out[i, j] = phik(a[:, i], b[:, j], cfg)
+                out[i, j] = phik(a[:, i], b[:, j], n_bins)
             except DegenerateBinningError:
                 pass
     return out

@@ -38,6 +38,50 @@ def _title(body: list[str], width: int, title: str) -> None:
     )
 
 
+def _axis(lo: float, hi: float, start: float, end: float):
+    """The pixel map taking [lo, hi] onto [start, end]."""
+    return lambda v: start + (v - lo) / (hi - lo) * (end - start)
+
+
+def _frame(body: list[str], width: int, title: str, box, xticks=None, yticks=None) -> None:
+    """Title, the two axis lines of ``box`` = (left, right, top, bottom) and
+    five ticks per axis given as (lo, hi, pixel map, value format)."""
+    left, right, top, bottom = box
+    _title(body, width, title)
+    body.append(f'<line x1="{left}" y1="{top}" x2="{left}" y2="{bottom}" stroke="#000"/>')
+    body.append(f'<line x1="{left}" y1="{bottom}" x2="{right}" y2="{bottom}" stroke="#000"/>')
+    for k in range(5):
+        if xticks:
+            lo, hi, xpix, fmt = xticks
+            v = lo + (hi - lo) * k / 4
+            body.append(
+                f'<text x="{xpix(v):.1f}" y="{bottom + 14}" text-anchor="middle" '
+                f'font-size="9" {_FONT}>{v:{fmt}}</text>'
+            )
+        if yticks:
+            lo, hi, ypix, fmt = yticks
+            v = lo + (hi - lo) * k / 4
+            body.append(
+                f'<text x="{left - 5}" y="{ypix(v) + 3:.1f}" text-anchor="end" '
+                f'font-size="9" {_FONT}>{v:{fmt}}</text>'
+            )
+
+
+def _xlabel(body: list[str], box, y: int, text: str) -> None:
+    body.append(
+        f'<text x="{(box[0] + box[1]) / 2:.1f}" y="{y}" text-anchor="middle" '
+        f'font-size="11" {_FONT}>{_esc(text)}</text>'
+    )
+
+
+def _ylabel(body: list[str], box, x: int, text: str) -> None:
+    mid = (box[2] + box[3]) / 2
+    body.append(
+        f'<text x="{x}" y="{mid:.1f}" font-size="11" {_FONT} '
+        f'transform="rotate(-90 {x} {mid:.1f})" text-anchor="middle">{_esc(text)}</text>'
+    )
+
+
 def _heat_color(value: float, vmin: float, vmax: float) -> str:
     """Blue-white-red diverging map; NaN renders grey."""
     if not np.isfinite(value):
@@ -110,7 +154,7 @@ def render_boxplots(
     n = len(summaries)
     width = max(360, 40 + 10 * n + 40)
     height = 300
-    left, right, top, bottom = 50, width - 20, 40, height - 30
+    box = left, right, top, bottom = 50, width - 20, 40, height - 30
     vals = [v for s in summaries for v in (s.lower_whisker, s.upper_whisker)]
     lo, hi = min(vals), max(vals)
     if hi <= lo:
@@ -118,27 +162,11 @@ def render_boxplots(
     pad = 0.05 * (hi - lo)
     lo -= pad
     hi += pad
-
-    def ypix(v: float) -> float:
-        return bottom - (v - lo) / (hi - lo) * (bottom - top)
-
+    ypix = _axis(lo, hi, bottom, top)
     slot = (right - left) / max(n, 1)
     bw = min(8.0, slot * 0.7)
     body: list[str] = []
-    _title(body, width, title)
-    body.append(
-        f'<line x1="{left}" y1="{top}" x2="{left}" y2="{bottom}" stroke="#000"/>'
-    )
-    body.append(
-        f'<line x1="{left}" y1="{bottom}" x2="{right}" y2="{bottom}" stroke="#000"/>'
-    )
-    for k in range(5):
-        v = lo + (hi - lo) * k / 4
-        y = ypix(v)
-        body.append(
-            f'<text x="{left - 5}" y="{y + 3:.1f}" text-anchor="end" font-size="9" '
-            f"{_FONT}>{v:.2f}</text>"
-        )
+    _frame(body, width, title, box, yticks=(lo, hi, ypix, ".2f"))
     for i, s in enumerate(summaries):
         cx = left + slot * (i + 0.5)
         x0, x1 = cx - bw / 2, cx + bw / 2
@@ -159,11 +187,7 @@ def render_boxplots(
             f'<line x1="{x0:.1f}" y1="{ypix(s.median):.1f}" x2="{x1:.1f}" '
             f'y2="{ypix(s.median):.1f}" stroke="#d62728"/>'
         )
-    body.append(
-        f'<text x="14" y="{(top + bottom) / 2:.1f}" font-size="11" {_FONT} '
-        f'transform="rotate(-90 14 {(top + bottom) / 2:.1f})" '
-        f'text-anchor="middle">{_esc(ylabel)}</text>'
-    )
+    _ylabel(body, box, 14, ylabel)
     return _doc(width, height, body)
 
 
@@ -174,29 +198,15 @@ def render_histogram(
 ) -> str:
     """Overlaid bar histograms; each series is (label, edges, counts)."""
     width, height = 560, 320
-    left, right, top, bottom = 55, width - 20, 40, height - 45
+    box = left, right, top, bottom = 55, width - 20, 40, height - 45
     xlo = min(float(e[0]) for _, e, _ in series)
     xhi = max(float(e[-1]) for _, e, _ in series)
     if xhi <= xlo:
         xhi = xlo + 1.0
     ymax = max(1, max(int(c.max()) if len(c) else 1 for _, _, c in series))
-
-    def xpix(v: float) -> float:
-        return left + (v - xlo) / (xhi - xlo) * (right - left)
-
-    def ypix(v: float) -> float:
-        return bottom - v / ymax * (bottom - top)
-
+    xpix, ypix = _axis(xlo, xhi, left, right), _axis(0, ymax, bottom, top)
     body: list[str] = []
-    _title(body, width, title)
-    body.append(f'<line x1="{left}" y1="{top}" x2="{left}" y2="{bottom}" stroke="#000"/>')
-    body.append(f'<line x1="{left}" y1="{bottom}" x2="{right}" y2="{bottom}" stroke="#000"/>')
-    for k in range(5):
-        v = xlo + (xhi - xlo) * k / 4
-        body.append(
-            f'<text x="{xpix(v):.1f}" y="{bottom + 14}" text-anchor="middle" '
-            f'font-size="9" {_FONT}>{v:.3g}</text>'
-        )
+    _frame(body, width, title, box, xticks=(xlo, xhi, xpix, ".3g"))
     for si, (label, edges, counts) in enumerate(series):
         color = SERIES_COLORS[si % len(SERIES_COLORS)]
         for b in range(len(counts)):
@@ -218,10 +228,7 @@ def render_histogram(
             f'<text x="{right - 115}" y="{top + 16 * si + 9}" font-size="10" '
             f"{_FONT}>{_esc(label)}</text>"
         )
-    body.append(
-        f'<text x="{(left + right) / 2:.1f}" y="{height - 12}" text-anchor="middle" '
-        f'font-size="11" {_FONT}>{_esc(xlabel)}</text>'
-    )
+    _xlabel(body, box, height - 12, xlabel)
     return _doc(width, height, body)
 
 
@@ -236,35 +243,16 @@ def render_scatter(
 ) -> str:
     """Scatter points (small rects) with a fitted curve drawn as line segments."""
     width, height = 560, 380
-    left, right, top, bottom = 60, width - 20, 40, height - 50
+    box = left, right, top, bottom = 60, width - 20, 40, height - 50
     xlo, xhi = float(np.min(x)), float(np.max(x))
     ylo, yhi = float(np.min(y)), float(np.max(y))
     if xhi <= xlo:
         xhi = xlo + 1.0
     if yhi <= ylo:
         yhi = ylo + 1.0
-
-    def xpix(v: float) -> float:
-        return left + (v - xlo) / (xhi - xlo) * (right - left)
-
-    def ypix(v: float) -> float:
-        return bottom - (v - ylo) / (yhi - ylo) * (bottom - top)
-
+    xpix, ypix = _axis(xlo, xhi, left, right), _axis(ylo, yhi, bottom, top)
     body: list[str] = []
-    _title(body, width, title)
-    body.append(f'<line x1="{left}" y1="{top}" x2="{left}" y2="{bottom}" stroke="#000"/>')
-    body.append(f'<line x1="{left}" y1="{bottom}" x2="{right}" y2="{bottom}" stroke="#000"/>')
-    for k in range(5):
-        xv = xlo + (xhi - xlo) * k / 4
-        yv = ylo + (yhi - ylo) * k / 4
-        body.append(
-            f'<text x="{xpix(xv):.1f}" y="{bottom + 14}" text-anchor="middle" '
-            f'font-size="9" {_FONT}>{xv:.3g}</text>'
-        )
-        body.append(
-            f'<text x="{left - 5}" y="{ypix(yv) + 3:.1f}" text-anchor="end" '
-            f'font-size="9" {_FONT}>{yv:.3g}</text>'
-        )
+    _frame(body, width, title, box, (xlo, xhi, xpix, ".3g"), (ylo, yhi, ypix, ".3g"))
     for xv, yv in zip(x, y):
         body.append(
             f'<rect class="pt" x="{xpix(float(xv)) - 1:.1f}" y="{ypix(float(yv)) - 1:.1f}" '
@@ -281,13 +269,6 @@ def render_scatter(
             f'x2="{xpix(float(fx[a + 1])):.1f}" y2="{ypix(float(fy[a + 1])):.1f}" '
             f'stroke="#d62728" stroke-width="1.5"/>'
         )
-    body.append(
-        f'<text x="{(left + right) / 2:.1f}" y="{height - 14}" text-anchor="middle" '
-        f'font-size="11" {_FONT}>{_esc(xlabel)}</text>'
-    )
-    body.append(
-        f'<text x="16" y="{(top + bottom) / 2:.1f}" font-size="11" {_FONT} '
-        f'transform="rotate(-90 16 {(top + bottom) / 2:.1f})" '
-        f'text-anchor="middle">{_esc(ylabel)}</text>'
-    )
+    _xlabel(body, box, height - 14, xlabel)
+    _ylabel(body, box, 16, ylabel)
     return _doc(width, height, body)

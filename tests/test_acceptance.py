@@ -210,7 +210,7 @@ def test_criterion_5_feature_invariants():
 
 # ------------------------------------------------------------------ 6
 
-PHIK_CFG = stats.PhikConfig(n_bins=4)
+PHIK_CFG = 4
 
 
 def _block_scores(matrix, names, prefix):
@@ -261,16 +261,16 @@ def test_criterion_7_random_vs_music_separation(desk_model, musical_seqs_2bar):
         partition = analysis.partition_neurons(lm, 0.9)
         random_mels = corpus.gen_random_corpus(corpus.RandomSeqConfig(), 2000, seed=123)
         random_seqs = [melody.tokenize(m) for m in random_mels]
-        real, rand = analysis.compare_real_vs_random(
+        (real_music, real_noise), (rand_music, rand_noise) = analysis.compare_real_vs_random(
             params, lm, random_seqs, partition, threshold=0.1
         )
-        music_median = float(np.median(real.noise_counts))
-        random_median = float(np.median(rand.noise_counts))
+        music_median = float(np.median(real_noise))
+        random_median = float(np.median(rand_noise))
         assert random_median > music_median, (
             f"noise medians: random {random_median} vs music {music_median}"
         )
-        m_music = float(np.median(real.music_counts))
-        m_random = float(np.median(rand.music_counts))
+        m_music = float(np.median(real_music))
+        m_random = float(np.median(rand_music))
         tol = 0.2 * len(partition.music)
         assert abs(m_music - m_random) <= tol, (
             f"music medians {m_music} vs {m_random} differ beyond {tol}"

@@ -16,8 +16,8 @@ from latent_lens.analysis import (
     neuron_feature_scatter,
     partition_neurons,
 )
+from latent_lens.features import FEATURE_NAMES
 from latent_lens.melody import TokenSequence
-from latent_lens.stats import PhikConfig
 
 from test_vae import SMALL, random_seq, random_tokens
 
@@ -151,28 +151,28 @@ def test_activation_counts_hand_case():
     mus = np.array([[0.05, -0.2, 0.11, 0.0]])
     lm = LatentMatrix(np.tile(mus, (10, 1)), np.ones((10, 4)))
     part = partition_neurons(lm, sigma_threshold=2.0)  # everything "music"
-    report = activation_counts(lm, part, 0.1)
-    assert report.music_counts[0] == 2
-    assert report.noise_counts[0] == 0
+    music, noise = activation_counts(lm, part, 0.1)
+    assert music[0] == 2
+    assert noise[0] == 0
 
 
 def test_activation_threshold_zero_counts_nonzero():
     lm = synthetic_lm()
     part = partition_neurons(lm)
-    report = activation_counts(lm, part, 0.0)
+    music, _ = activation_counts(lm, part, 0.0)
     nonzero = (np.abs(lm.mus[:, list(part.music)]) > 0).sum(axis=1)
-    assert np.array_equal(report.music_counts, nonzero)
+    assert np.array_equal(music, nonzero)
 
 
 def test_activation_monotone_in_threshold():
     lm = synthetic_lm(n=80)
     part = partition_neurons(lm)
-    a = activation_counts(lm, part, 0.05)
-    b = activation_counts(lm, part, 0.2)
-    assert np.all(a.music_counts >= b.music_counts)
-    assert np.all(a.noise_counts >= b.noise_counts)
-    assert np.all(a.music_counts <= len(part.music))
-    assert np.all(a.noise_counts <= len(part.noise))
+    a_music, a_noise = activation_counts(lm, part, 0.05)
+    b_music, b_noise = activation_counts(lm, part, 0.2)
+    assert np.all(a_music >= b_music)
+    assert np.all(a_noise >= b_noise)
+    assert np.all(a_music <= len(part.music))
+    assert np.all(a_noise <= len(part.noise))
 
 
 def test_encode_corpus_matches_encode_and_skips():
@@ -182,9 +182,9 @@ def test_encode_corpus_matches_encode_and_skips():
     bad = TokenSequence(tuple(random_tokens(rng, 1, 256)[0]), 16)
     lm = encode_corpus(p, seqs)
     assert lm.n == 12
-    enc = vae.encode(p, seqs[4])
-    assert np.allclose(lm.mus[4], enc.mu)
-    assert np.allclose(lm.sigmas[4], enc.sigma)
+    mu, sigma = vae.encode(p, seqs[4])
+    assert np.allclose(lm.mus[4], mu)
+    assert np.allclose(lm.sigmas[4], sigma)
     with pytest.raises(vae.ShapeError):
         encode_corpus(p, seqs + [bad])
 
@@ -213,7 +213,7 @@ def test_neuron_feature_phik_shape_and_null():
     sigmas = np.ones((n, d))
     sigmas[:, 0] = 0.2
     lm = LatentMatrix(mus, sigmas)
-    m = neuron_feature_phik(lm, partition_neurons(lm), feats, PhikConfig(n_bins=5))
+    m = neuron_feature_phik(lm, partition_neurons(lm), feats, 5)
     assert m.shape == (3, d)
     assert np.nanargmax(m[1]) == 0  # ordered first dim is the informative one
 
@@ -221,18 +221,16 @@ def test_neuron_feature_phik_shape_and_null():
 def test_neuron_feature_scatter_output():
     rng = np.random.default_rng(6)
     n = 60
-    feats = rng.standard_normal((n, 2))
-    mus = np.column_stack([feats[:, 0] * 2.0, 0.01 * rng.standard_normal(n)])
+    feats = rng.standard_normal((n, len(FEATURE_NAMES)))
+    mus = np.column_stack([feats[:, 3] * 2.0, 0.01 * rng.standard_normal(n)])
     lm = LatentMatrix(mus, np.column_stack([np.full(n, 0.3), np.ones(n)]))
     part = partition_neurons(lm)
     x, y, fit = neuron_feature_scatter(
-        lm, part, feats, ("F1", "F2"), neuron=0, feature="F1", lowess_frac=0.3
+        lm, part, feats, neuron=0, feature=FEATURE_NAMES[3], lowess_frac=0.3
     )
+    assert np.array_equal(x, feats[:, 3])
     assert len(x) == len(y) == len(fit) == n
     assert np.max(np.abs(fit - y)) < 1e-6  # exactly linear relation
-    with pytest.raises(ValueError):
-        neuron_feature_scatter(lm, part, feats, ("F1", "F2"), neuron=0, feature="nope",
-                               lowess_frac=0.3)
 
 
 def test_compare_identical_corpora_identical_histograms():
@@ -241,9 +239,10 @@ def test_compare_identical_corpora_identical_histograms():
     seqs = [random_seq(rng) for _ in range(15)]
     lm = encode_corpus(p, seqs)
     part = partition_neurons(lm)
-    real, rand = compare_real_vs_random(p, lm, seqs, part)
-    assert np.array_equal(real.music_counts, rand.music_counts)
-    assert np.array_equal(real.noise_counts, rand.noise_counts)
+    (real_music, real_noise), (rand_music, rand_noise) = compare_real_vs_random(
+        p, lm, seqs, part)
+    assert np.array_equal(real_music, rand_music)
+    assert np.array_equal(real_noise, rand_noise)
 
 
 def test_build_report_activation_series():

@@ -195,6 +195,55 @@ def test_train_resume_continues_epochs(tiny_run, tmp_path):
     assert [r.split(",")[0] for r in rows[1:]] == ["0", "1", "2"]
 
 
+def test_train_counts_sequences_of_another_length(tiny_run, tmp_path):
+    """train keeps the sequences of the model's length, as analyze does: the
+    first entry's length, or the resumed checkpoint's."""
+    _, corpus_path, _, train_dir, _ = tiny_run
+    long_line = melody.to_json_line(
+        melody.tokenize(melody.Melody((melody.NoteSpan(60, 0, 4),), 16, 120.0)), 120.0)
+    lines = corpus_path.read_text().splitlines()[:40]
+    lines[3:3] = [long_line, long_line]
+    mixed = tmp_path / "mixed.jsonl"
+    mixed.write_text("\n".join(lines) + "\n")
+    long_first = tmp_path / "long_first.jsonl"
+    long_first.write_text("\n".join([long_line] + lines) + "\n")
+    runs = [  # (name, arguments, sequences dropped)
+        ("fresh", ["--corpus", mixed, "--embed-dim", "4", "--hidden-dim", "6",
+                   "--latent-dim", "2"], 2),
+        ("resumed", ["--corpus", long_first, "--resume", train_dir / "checkpoint.npz"], 3),
+    ]
+    for name, argv, dropped in runs:
+        out = tmp_path / name
+        assert run("train", *map(str, argv), "--out-dir", str(out), "--epochs", "1",
+                   "--batch", "16") == 0, name
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["dropped"] == {"skipped_sequences": {"corpus": dropped}}, name
+        assert vae.load_checkpoint(out / "checkpoint.npz").config.seq_len == 32
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("train", "--epochs", "0"),
+    ("train", "--latent-dim", "0"),
+    ("ingest", "--max-per-file", "0"),
+    ("ingest", "--min-notes", "0"),
+    ("analyze", "--phik-bins", "1"),
+    ("analyze", "--lowess-frac", "0"),
+])
+def test_invalid_flag_value_is_input_error(tiny_run, tmp_path, caplog, command, flag, value):
+    _, corpus_path, _, train_dir, _ = tiny_run
+    out = tmp_path / "out"
+    argv = {
+        "train": ["train", "--corpus", corpus_path, "--out-dir", out],
+        "ingest": ["ingest", tmp_path, out],
+        "analyze": ["analyze", "--checkpoint", train_dir / "checkpoint.npz",
+                    "--corpus", corpus_path, "--out-dir", out],
+    }[command]
+    (tmp_path / "scale.mid").write_bytes(scale_file())  # what ingest would read
+    assert run(*map(str, argv), flag, value) == 1
+    assert caplog.records[-1].levelname == "ERROR"
+    assert not out.exists()
+
+
 def test_checkpoint_is_read_once_and_hashed_as_loaded(tiny_run, tmp_path, monkeypatch):
     _, corpus_path, _, train_dir, _ = tiny_run
     ckpt = train_dir / "checkpoint.npz"
@@ -497,10 +546,10 @@ def test_roundtrip_decodes_mean_and_draws_in_one_call(tiny_run, tmp_path, monkey
 
     params = vae.load_checkpoint(train_dir / "checkpoint.npz")
     seq, tempo = melody.from_json_line(line)
-    enc = vae.encode(params, seq)
+    mu, sigma = vae.encode(params, seq)
     rng = np.random.default_rng(5)
-    draws = [enc.mu + enc.sigma * rng.standard_normal(enc.mu.shape) for _ in range(2)]
-    zs = np.stack([enc.mu, *draws])
+    draws = [mu + sigma * rng.standard_normal(mu.shape) for _ in range(2)]
+    zs = np.stack([mu, *draws])
     assert len(calls) == 1 and np.array_equal(calls[0], zs)
     expected = [melody.to_json_line(s, tempo) for s in decode(params, zs)]
     assert (out_dir / "roundtrip.jsonl").read_text().splitlines() == expected
@@ -586,4 +635,4 @@ def test_flag_defaults_are_the_config_defaults():
                     "--out-dir", "out")
     assert analyze["sigma_threshold"] == analysis.DEFAULT_SIGMA_THRESHOLD
     assert analyze["activation_threshold"] == analysis.DEFAULT_ACTIVATION_THRESHOLD
-    assert analyze["phik_bins"] == defaults(stats.PhikConfig)["n_bins"]
+    assert analyze["phik_bins"] == stats.PHIK_BINS

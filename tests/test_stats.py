@@ -11,9 +11,7 @@ from scipy.special import ndtr, owens_t
 
 from latent_lens.stats import (
     BoxplotSummary,
-    ContingencyTable,
     DegenerateBinningError,
-    PhikConfig,
     boxplot_summary,
     bvn_cell_probs,
     chi2,
@@ -30,10 +28,9 @@ from oracles import reference_lowess
 
 def test_contingency_diagonal():
     x = np.arange(10.0)
-    t = contingency(x, x, PhikConfig(n_bins=10))
-    assert t.counts.shape == (10, 10)
-    assert np.array_equal(t.counts, np.eye(10, dtype=int))
-    assert t.n == 10
+    t = contingency(x, x, 10)
+    assert t.shape == (10, 10)
+    assert np.array_equal(t, np.eye(10, dtype=int))
 
 
 def test_contingency_total_preserved():
@@ -41,7 +38,12 @@ def test_contingency_total_preserved():
     x = rng.standard_normal(500)
     y = rng.standard_normal(500)
     t = contingency(x, y)
-    assert t.counts.sum() == 500
+    assert t.sum() == 500
+
+
+def test_contingency_needs_two_bins():
+    with pytest.raises(ValueError, match="n_bins must be >= 2"):
+        contingency(np.arange(10.0), np.arange(10.0), 1)
 
 
 def test_contingency_constant_errors():
@@ -55,7 +57,7 @@ def test_chi2_independent_uniform_zero():
     t = contingency(
         np.array([0.0, 0.0, 1.0, 1.0]),
         np.array([0.0, 1.0, 0.0, 1.0]),
-        PhikConfig(n_bins=2),
+        2,
     )
     assert chi2(t) == pytest.approx(0.0)
 
@@ -64,9 +66,9 @@ def test_chi2_diagonal_hand_value():
     t = contingency(
         np.repeat([0.0, 1.0], 5),
         np.repeat([0.0, 1.0], 5),
-        PhikConfig(n_bins=2),
+        2,
     )
-    assert np.array_equal(t.counts, [[5, 0], [0, 5]])
+    assert np.array_equal(t, [[5, 0], [0, 5]])
     assert chi2(t) == pytest.approx(10.0)
 
 
@@ -74,10 +76,10 @@ def test_chi2_permutation_invariant():
     rng = np.random.default_rng(3)
     x = rng.integers(0, 4, 200).astype(float)
     y = rng.integers(0, 4, 200).astype(float)
-    t = contingency(x, y, PhikConfig(n_bins=4))
+    t = contingency(x, y, 4)
     base = chi2(t)
-    perm_counts = t.counts[np.random.default_rng(0).permutation(t.counts.shape[0])]
-    assert chi2(ContingencyTable(perm_counts)) == pytest.approx(base)
+    perm_counts = t[np.random.default_rng(0).permutation(t.shape[0])]
+    assert chi2(perm_counts) == pytest.approx(base)
 
 
 # ---------------------------------------------------------------- bvn
@@ -252,12 +254,12 @@ def test_phik_matrix_shapes_and_missing():
     a = rng.standard_normal((500, 3))
     a[:, 2] = 1.0  # constant column -> missing
     b = np.column_stack([a[:, 0], rng.standard_normal(500)])
-    m = phik_matrix(a, b, PhikConfig(n_bins=5))
+    m = phik_matrix(a, b, 5)
     assert m.shape == (3, 2)
     assert m[0, 0] == 1.0
     assert np.isnan(m[2]).all()
     # column permutation of b permutes result columns
-    m2 = phik_matrix(a, b[:, ::-1], PhikConfig(n_bins=5))
+    m2 = phik_matrix(a, b[:, ::-1], 5)
     assert np.allclose(m[:, ::-1], m2, equal_nan=True)
 
 

@@ -1,3 +1,4 @@
+import json
 import sys
 import tracemalloc
 
@@ -10,7 +11,6 @@ from latent_lens import vae
 from latent_lens.melody import HOLD, REST, VOCAB_SIZE, TokenSequence
 from latent_lens.vae import (
     CheckpointError,
-    LatentEncoding,
     ModelConfig,
     Params,
     ShapeError,
@@ -23,7 +23,6 @@ from latent_lens.vae import (
     gaussian_kl,
     init_params,
     load_checkpoint,
-    sample_latent,
     save_checkpoint,
     train,
 )
@@ -193,11 +192,11 @@ def test_encode_shape_and_purity():
     p = init_params(SMALL, 1)
     rng = np.random.default_rng(0)
     seq = random_seq(rng)
-    enc1 = encode(p, seq)
-    enc2 = encode(p, seq)
-    assert enc1.mu.shape == (6,) and enc1.sigma.shape == (6,)
-    assert np.all(np.isfinite(enc1.mu)) and np.all(enc1.sigma > 0)
-    assert np.array_equal(enc1.mu, enc2.mu) and np.array_equal(enc1.sigma, enc2.sigma)
+    mu1, sigma1 = encode(p, seq)
+    mu2, sigma2 = encode(p, seq)
+    assert mu1.shape == (6,) and sigma1.shape == (6,)
+    assert np.all(np.isfinite(mu1)) and np.all(sigma1 > 0)
+    assert np.array_equal(mu1, mu2) and np.array_equal(sigma1, sigma2)
 
 
 def test_encode_length_mismatch():
@@ -212,9 +211,9 @@ def test_encode_batch_matches_single():
     toks = random_tokens(rng, 5)
     mus, sigmas = encode_batch(p, toks)
     for i in range(5):
-        enc = encode(p, TokenSequence(tuple(toks[i]), 2))
-        assert np.allclose(mus[i], enc.mu)
-        assert np.allclose(sigmas[i], enc.sigma)
+        mu, sigma = encode(p, TokenSequence(tuple(toks[i]), 2))
+        assert np.allclose(mus[i], mu)
+        assert np.allclose(sigmas[i], sigma)
 
 
 @settings(max_examples=25, deadline=None)
@@ -237,33 +236,6 @@ def test_encode_batch_equals_training_encoder(cfg, n, n_used, seed):
     mus, sigmas = encode_batch(p, tokens)
     assert np.array_equal(mus, mu)
     assert np.array_equal(sigmas, np.exp(0.5 * logvar))
-
-
-# ---------------------------------------------------------------- sampling
-
-def test_sample_latent_zero_sigma_limit():
-    mu = np.array([1.0, -2.0, 3.0])
-    enc = LatentEncoding(mu, np.full(3, 1e-300))
-    z = sample_latent(enc, np.random.default_rng(0))
-    assert np.allclose(z, mu)
-
-
-def test_sample_latent_seeded_reproducible():
-    enc = LatentEncoding(np.zeros(4), np.ones(4))
-    a = sample_latent(enc, np.random.default_rng(9))
-    b = sample_latent(enc, np.random.default_rng(9))
-    assert np.array_equal(a, b)
-
-
-def test_sample_latent_mean_concentrates():
-    mu = np.array([0.5, -1.5])
-    sigma = np.array([2.0, 0.3])
-    enc = LatentEncoding(mu, sigma)
-    rng = np.random.default_rng(10)
-    n = 10_000
-    draws = np.array([sample_latent(enc, rng) for _ in range(n)])
-    bound = 4.0 * sigma / np.sqrt(n)
-    assert np.all(np.abs(draws.mean(axis=0) - mu) < bound)
 
 
 # ---------------------------------------------------------------- decode
@@ -392,7 +364,7 @@ def test_gradients_with_input_dropout_mask():
     batch = random_tokens(rng, 2)
     keep = (rng.random(batch.shape) >= 0.4).astype(float)
     eps_noise = np.random.default_rng(7).standard_normal((2, 5))
-    _, _, _, state = _loss_forward(p, batch, 0.2, eps_noise, True, keep)
+    _, _, _, state = _loss_forward(p, batch, 0.2, eps_noise, keep)
     grads = _loss_backward(p, batch, 0.2, eps_noise, state)
     step = 1e-3
     for name in ("embed", "dec_wx", "z_w", "w_mu"):
@@ -402,9 +374,9 @@ def test_gradients_with_input_dropout_mask():
         for i in range(0, flat.size, max(1, flat.size // 10)):
             orig = flat[i]
             flat[i] = orig + step
-            lp = _loss_forward(p, batch, 0.2, eps_noise, False, keep)[0]
+            lp = _loss_forward(p, batch, 0.2, eps_noise, keep)[0]
             flat[i] = orig - step
-            lm = _loss_forward(p, batch, 0.2, eps_noise, False, keep)[0]
+            lm = _loss_forward(p, batch, 0.2, eps_noise, keep)[0]
             flat[i] = orig
             fd = (lp - lm) / (2 * step)
             assert abs(fd - gflat[i]) / max(abs(fd), abs(gflat[i]), 1e-8) < 1e-4
@@ -436,7 +408,7 @@ def test_loss_and_grads_equal_batch_major_reference(cfg, n, n_used, masked, seed
     tokens = tokens_using(rng, n, n_used)
     eps = rng.standard_normal((n, cfg.latent_dim))
     keep = (rng.random(tokens.shape) >= 0.3).astype(float) if masked else None
-    loss, _, _, state = vae._loss_forward(p, tokens, 0.05, eps, True, keep, _SHARED_WS)
+    loss, _, _, state = vae._loss_forward(p, tokens, 0.05, eps, keep, _SHARED_WS)
     grads = vae._loss_backward(p, tokens, 0.05, eps, state)
     ref_loss, ref_grads = reference_loss_and_grads(p, tokens, 0.05, eps, keep)
     assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
@@ -514,7 +486,7 @@ def _train_step(params, opt, ws, batch, rng):
     """One step of ``train``'s inner loop."""
     eps = rng.standard_normal((batch.shape[0], params.config.latent_dim))
     keep = rng.random(batch.shape) >= 0.3
-    state = vae._loss_forward(params, batch, 0.005, eps, True, keep, ws)[3]
+    state = vae._loss_forward(params, batch, 0.005, eps, keep, ws)[3]
     grads = vae._loss_backward(params, batch, 0.005, eps, state)
     vae._clip_grads(grads, 1.0, ws)
     opt.step(params, grads)
@@ -634,12 +606,17 @@ def test_checkpoint_empty_or_truncated_rejected(tmp_path, data):
 
 
 def test_checkpoint_config_mismatch(tmp_path):
-    p = init_params(SMALL, 9)
+    # weights that do not fit the config stored beside them are rejected
     path = tmp_path / "model.npz"
-    save_checkpoint(p, path)
-    other = ModelConfig(embed_dim=8, hidden_dim=12, latent_dim=12, seq_len=32)
-    with pytest.raises(CheckpointError):
-        load_checkpoint(path, expect_config=other)
+    save_checkpoint(init_params(SMALL, 9), path)
+    with np.load(path) as data:
+        arrays = dict(data)
+    meta = json.loads(bytes(arrays["meta"]))
+    meta["config"]["latent_dim"] = 12
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez(path, **arrays)
+    with pytest.raises(ShapeError, match="w_mu has shape"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_missing_meta(tmp_path):
