@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import FEATURE_NAMES, extract_corpus_features
-from .melody import detokenize
 from .report import Stopwatch
 from .stats import PHIK_BINS, BoxplotSummary, boxplot_summary, lowess, phik_matrix
 from .vae import Params, _stack_batch, encode_batch
@@ -81,7 +80,8 @@ class Report:
 
 
 def encode_corpus(params: Params, corpus, batch_size: int = 256) -> LatentMatrix:
-    """Encode a corpus in chunks of ``batch_size`` rows.
+    """Encode a corpus (token sequences, or an (n, T) token matrix) in chunks
+    of ``batch_size`` rows.
 
     Every sequence must have the model's length; one that does not raises
     :class:`~latent_lens.vae.ShapeError`, as in :func:`encode_batch`.
@@ -189,7 +189,8 @@ def build_report(
     model's length, as :func:`melody.load_corpus` returns them.  With a
     ``random_corpus`` of such pairs, the activation histograms compare the two."""
     watch = Stopwatch()
-    lm = encode_corpus(params, [seq for seq, _ in corpus])
+    tokens = _stack_batch([seq for seq, _ in corpus], params.config.seq_len)
+    lm = encode_corpus(params, tokens)
     partition = partition_neurons(lm, sigma_threshold)
     watch.lap("encode")
 
@@ -200,8 +201,7 @@ def build_report(
     pearson = mu_pearson_matrix(lm, partition)
     watch.lap("pearson")
 
-    fmatrix, degenerate = extract_corpus_features(
-        [detokenize(seq, tempo) for seq, tempo in corpus])
+    fmatrix, degenerate = extract_corpus_features(tokens, [tempo for _, tempo in corpus])
     phik = neuron_feature_phik(lm, partition, fmatrix, phik_bins)
     dropped = {
         "degenerate_values": dict(zip(FEATURE_NAMES, degenerate.sum(axis=0).tolist())),

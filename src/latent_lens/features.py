@@ -13,11 +13,10 @@ marked degenerate for it, so corpus pipelines never abort.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
-from .melody import Melody, step_seconds
+from .melody import Melody, step_seconds, token_spans, tokenize
 
 FEATURE_NAMES: tuple[str, ...] = (
     "R1_note_density",
@@ -84,28 +83,30 @@ def _segment_mode(seg: np.ndarray, keys: np.ndarray, n_keys: int) -> tuple[np.nd
     return uniq[first] % n_keys, counts[first]
 
 
-def extract_corpus_features(corpus: Iterable[Melody]) -> tuple[np.ndarray, np.ndarray]:
+def extract_corpus_features(tokens, tempos) -> tuple[np.ndarray, np.ndarray]:
     """Feature matrix and degenerate mask of a corpus, both (n, 20) in catalog order.
 
-    Every span of the corpus goes into one flat array with its melody's index,
-    and each feature is a segment reduction over it (``np.bincount`` sums,
-    ``reduceat`` extremes, ``np.unique`` counts), so the cost follows the span
-    count.  Values equal the per-melody numpy results bit for bit, except R3,
-    whose squared deviations are summed in span order rather than pairwise
-    (so it may differ from ``np.std`` in the last bit or two).
+    ``tokens`` holds one melody per row: an (n, T) token matrix, or n token
+    sequences of any supported lengths; ``tempos`` holds their n tempos in
+    quarter notes per minute.  Every span of the corpus is read from the
+    tokens into one flat array with its melody's index
+    (:func:`~latent_lens.melody.token_spans`), and each feature is a segment
+    reduction over it (``np.bincount`` sums, ``reduceat`` extremes,
+    ``np.unique`` counts), so the cost follows the span count.  Values equal
+    the per-melody numpy results bit for bit, except R3, whose squared
+    deviations are summed in span order rather than pairwise (so it may
+    differ from ``np.std`` in the last bit or two).
     """
-    melodies = list(corpus)
-    if not melodies:
+    n = len(tokens)
+    if n == 0:
         raise ValueError("corpus must be non-empty")
-    n = len(melodies)
-    count = np.array([len(m.spans) for m in melodies])
-    sec = np.array([step_seconds(m.tempo_qpm) for m in melodies])
-    total_steps = np.array([m.total_steps for m in melodies])
-    pitch, onset, dur = np.array(
-        [(s.pitch, s.onset_step, s.duration_steps) for m in melodies for s in m.spans],
-        dtype=np.int64,
-    ).reshape(-1, 3).T
-    mel = np.repeat(np.arange(n), count)
+    tempos = np.asarray(tempos, dtype=float)
+    if tempos.shape != (n,):
+        raise ValueError(f"need one tempo per melody, got {tempos.shape} for {n}")
+    sec = step_seconds(tempos)
+    total_steps = np.fromiter(map(len, tokens), np.int64, n)
+    mel, pitch, onset, dur = token_spans(tokens)
+    count = np.bincount(mel, minlength=n)
     has = count > 0
     starts = (np.cumsum(count) - count)[has]  # first span of each non-empty melody
     notes, steps = np.maximum(count, 1), np.maximum(count - 1, 1)
@@ -164,7 +165,7 @@ def extract_corpus_features(corpus: Iterable[Melody]) -> tuple[np.ndarray, np.nd
 
 def extract_features(melody: Melody) -> FeatureVector:
     """Compute the 20-feature catalog for one melody."""
-    values, degenerate = extract_corpus_features([melody])
+    values, degenerate = extract_corpus_features([tokenize(melody)], [melody.tempo_qpm])
     return FeatureVector(
         dict(zip(FEATURE_NAMES, values[0].tolist())),
         frozenset(name for name, d in zip(FEATURE_NAMES, degenerate[0]) if d),

@@ -4,7 +4,8 @@ A melody lives on a fixed 16th-note grid (4 steps per quarter, 4/4 only) and
 is stored either as note spans (pitch, onset step, duration in steps) or as a
 flat token sequence over a 130-symbol vocabulary: codes 0..127 start a note at
 that MIDI pitch, 128 starts a silence, 129 holds whatever state is active.
-The two forms convert losslessly via :func:`tokenize` / :func:`detokenize`.
+The two forms convert losslessly via :func:`tokenize` / :func:`detokenize`;
+:func:`token_spans` reads the spans of many token rows at once as arrays.
 
 Corpora of token sequences are stored as JSONL, one object per line:
 ``{"bars": n, "tempo_qpm": x, "tokens": [ints]}``.
@@ -14,9 +15,12 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
+
+import numpy as np
 
 STEPS_PER_QUARTER = 4
 QUARTERS_PER_BAR = 4
@@ -158,36 +162,57 @@ def tokenize(melody: Melody) -> TokenSequence:
     return TokenSequence(tuple(tokens), melody.bars)
 
 
+def token_spans(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The note spans of token rows, as four flat int arrays in row order:
+    row index, MIDI pitch, onset step and duration in steps.
+
+    ``rows`` is one or more rows of codes of any lengths: an (n, T) token
+    matrix, or a list of token sequences.  A span starts at a note code and
+    lasts until the next non-hold code or the end of its row.  The arrays
+    are built with array operations over all rows at once, with no
+    per-melody object.
+    """
+    lengths = np.fromiter(map(len, rows), np.int64, len(rows))
+    flat = np.concatenate(rows)
+    starts = np.cumsum(lengths) - lengths
+    event = flat != HOLD  # a code that ends whatever sounds before it
+    event[starts] = True  # so does the start of a row
+    pos = np.flatnonzero(event)
+    duration = np.diff(pos, append=flat.size)
+    note = flat[pos] <= MAX_PITCH
+    onset = pos[note]
+    row = np.searchsorted(starts, onset, side="right") - 1
+    return row, flat[onset], onset - starts[row], duration[note]
+
+
 def detokenize(seq: TokenSequence, tempo_qpm: float = 120.0) -> Melody:
     """Inverse of :func:`tokenize`; tempo is passed through as metadata."""
-    spans: list[NoteSpan] = []
-    cur_pitch: int | None = None
-    cur_onset = 0
-    for step, tok in enumerate(seq.tokens):
-        if tok == HOLD:
-            continue
-        if cur_pitch is not None:
-            spans.append(NoteSpan(cur_pitch, cur_onset, step - cur_onset))
-            cur_pitch = None
-        if tok <= MAX_PITCH:
-            cur_pitch = tok
-            cur_onset = step
-    if cur_pitch is not None:
-        spans.append(NoteSpan(cur_pitch, cur_onset, len(seq.tokens) - cur_onset))
+    _, pitch, onset, duration = token_spans([seq.tokens])
+    spans = map(NoteSpan, pitch.tolist(), onset.tolist(), duration.tolist())
     return Melody(tuple(spans), seq.bars, tempo_qpm)
 
 
-def step_seconds(tempo_qpm: float) -> float:
-    """Length of one grid step (a 16th note) in seconds."""
-    if not tempo_qpm > 0:
-        raise ValueError(f"tempo must be positive, got {tempo_qpm}")
+def step_seconds(tempo_qpm):
+    """Length of one grid step (a 16th note) in seconds, for one tempo or
+    an array of them."""
+    if not np.all(np.asarray(tempo_qpm) > 0):
+        raise ValueError(f"tempo must be positive, got {np.min(tempo_qpm)}")
     return 60.0 / (tempo_qpm * STEPS_PER_QUARTER)
 
 
+_TOKEN_TEXT = tuple(str(code) for code in range(VOCAB_SIZE))
+
+
 def to_json_line(seq: TokenSequence, tempo_qpm: float) -> str:
-    return json.dumps(
-        {"bars": seq.bars, "tempo_qpm": tempo_qpm, "tokens": list(seq.tokens)}
-    )
+    """The corpus line of one entry: ``json.dumps`` of
+    ``{"bars": ..., "tempo_qpm": ..., "tokens": [...]}``, character for
+    character, formatted directly from the digits of each code."""
+    if type(tempo_qpm) is float and math.isfinite(tempo_qpm):
+        tempo = repr(tempo_qpm)  # as JSON writes a finite float
+    else:
+        tempo = json.dumps(tempo_qpm)
+    tokens = ", ".join(map(_TOKEN_TEXT.__getitem__, seq.tokens))
+    return f'{{"bars": {seq.bars}, "tempo_qpm": {tempo}, "tokens": [{tokens}]}}'
 
 
 def from_json_line(line: str) -> tuple[TokenSequence, float]:

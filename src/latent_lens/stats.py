@@ -21,6 +21,15 @@ crowd toward |t| = pi/2, where the integrand sharpens as |rho| -> 1.  With
 |rho| = 0.9999, the end of the phik bisection.  Only the correlation score
 itself is implemented; the sampling-noise pedestal and significance
 machinery of the reference library are intentionally out of scope.
+
+Every bisection takes the same number of steps, so ``phik_matrix`` runs the
+bisections of all its pairs in lockstep: one ``bvn_cell_probs`` call per
+step evaluates a whole block of pairs' grids, blocks being sized so that
+their (pair, corner, corner, node) array stays within ``_GRID_BYTES``.  A
+pair's cells and chi-square are computed exactly as for that pair alone, so
+``phik`` (the one-pair case of the same code) and ``phik_matrix`` agree bit
+for bit, even where the chi-square curve is flat to rounding and the
+bisection is steered by its last bits.
 """
 
 from __future__ import annotations
@@ -40,6 +49,7 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(40)  # on [-1, 1]
 _GL_NODES, _GL_WEIGHTS = 0.5 * (_GL_X + 1.0), 0.5 * _GL_W  # on [0, 1]
 PHIK_BINS = 10  # equal-width bins over each series' range
 _RHO_TOL = 1e-4  # phik's bisection stops when its bracket is this narrow
+_GRID_BYTES = 1 << 22  # bound on one phik block's (pair, corner, corner, node) grid
 
 
 class DegenerateBinningError(ValueError):
@@ -76,13 +86,13 @@ def contingency(x, y, n_bins: int = PHIK_BINS) -> np.ndarray:
         raise ValueError("inputs must be equal-length 1-D series")
     if x.size < 2:
         raise ValueError("need at least two observations")
-    ix = _bin_series(x, n_bins)
-    iy = _bin_series(y, n_bins)
-    counts = np.zeros((n_bins, n_bins), dtype=np.int64)
-    np.add.at(counts, (ix, iy), 1)
-    keep_r = counts.sum(axis=1) > 0
-    keep_c = counts.sum(axis=0) > 0
-    counts = counts[keep_r][:, keep_c]
+    return _cross_tab(_bin_series(x, n_bins), _bin_series(y, n_bins), n_bins)
+
+
+def _cross_tab(ix: np.ndarray, iy: np.ndarray, n_bins: int) -> np.ndarray:
+    """Counts of each (row bin, column bin) pair, empty marginal bins dropped."""
+    counts = np.bincount(ix * n_bins + iy, minlength=n_bins * n_bins).reshape(n_bins, n_bins)
+    counts = counts[counts.sum(axis=1) > 0][:, counts.sum(axis=0) > 0]
     if counts.shape[0] < 2 or counts.shape[1] < 2:
         raise DegenerateBinningError("fewer than 2 occupied bins on a margin")
     return counts
@@ -99,58 +109,130 @@ def chi2(counts) -> float:
     return float((((counts - expected) ** 2)[mask] / expected[mask]).sum())
 
 
-def bvn_cell_probs(rho: float, row_edges, col_edges) -> np.ndarray:
+def bvn_cell_probs(rho, row_edges, col_edges) -> np.ndarray:
     """Cell probabilities of a standard bivariate normal over a z-space grid.
 
     ``row_edges`` / ``col_edges`` are strictly increasing arrays of standard
     normal quantiles (+-inf allowed at the ends; edges are clipped to
     +-``_Z_CLIP``).  Returns an (r, c) matrix whose entries integrate the
     density with correlation ``rho`` over each rectangle, as four-corner
-    differences of the CDF on the grid of edges.
+    differences of the CDF on the grid of edges.  With an array of P
+    correlations, the edges are (P, r + 1) and (P, c + 1) arrays, one grid
+    per correlation, and the result is (P, r, c); each grid's cells are the
+    ones it gets alone.
     """
     from scipy.special import ndtr
 
-    if not -1.0 < rho < 1.0:
+    rho = np.asarray(rho, dtype=float)
+    if not np.all(np.abs(rho) < 1.0):
         raise ValueError(f"correlation must lie in (-1, 1), got {rho}")
     row_edges = np.asarray(row_edges, dtype=float)
     col_edges = np.asarray(col_edges, dtype=float)
-    if row_edges.ndim != 1 or col_edges.ndim != 1:
-        raise ValueError("edges must be 1-D")
+    if row_edges.shape[:-1] != rho.shape or col_edges.shape[:-1] != rho.shape:
+        raise ValueError("edges must be 1-D, one row per correlation")
     if np.any(np.diff(row_edges) <= 0) or np.any(np.diff(col_edges) <= 0):
         raise ValueError("edges must be strictly increasing")
-    a = np.clip(row_edges, -_Z_CLIP, _Z_CLIP)
-    b = np.clip(col_edges, -_Z_CLIP, _Z_CLIP)
+    a = np.clip(row_edges, -_Z_CLIP, _Z_CLIP)[..., :, None]
+    b = np.clip(col_edges, -_Z_CLIP, _Z_CLIP)[..., None, :]
     # t = sign(rho) * (pi/2 - u) with u = exp(v), v from log(acos|rho|) to
-    # log(pi/2); the Jacobian |dt/dv| is u
-    v_lo = math.log(math.acos(abs(rho)))
+    # log(pi/2); the Jacobian |dt/dv| is u.  math's log and acos, not numpy's,
+    # which differ from them in the last bit for some rho
+    v_lo = np.array([math.log(math.acos(abs(r))) for r in rho.flat]).reshape(rho.shape)
     width = _LOG_HALF_PI - v_lo
-    u = np.exp(v_lo + width * _GL_NODES)
-    sign = math.copysign(1.0, rho)
-    x, y = a[:, None, None], b[None, :, None]  # broadcast to (corner, corner, node)
-    expo = (x * x + y * y - 2.0 * sign * x * y * np.cos(u)) / (2.0 * np.sin(u) ** 2)
-    integral = sign * width * (np.exp(-expo) @ (u * _GL_WEIGHTS))
-    cdf = np.outer(ndtr(a), ndtr(b)) + integral / (2.0 * math.pi)
-    return cdf[1:, 1:] - cdf[:-1, 1:] - cdf[1:, :-1] + cdf[:-1, :-1]
+    u = np.exp(v_lo[..., None] + width[..., None] * _GL_NODES)  # (..., node)
+    sign = np.copysign(1.0, rho)[..., None, None]
+    # minus the exponent, over (..., corner, corner, node), worked in place;
+    # IEEE subtraction and division round -x exactly as x, so this is the
+    # negation of (a^2 + b^2 - 2 a b sin t) / (2 cos^2 t) bit for bit
+    expo = (2.0 * sign * a * b)[..., None] * np.cos(u)[..., None, None, :]
+    np.subtract(expo, (a * a + b * b)[..., None], out=expo)
+    np.divide(expo, 2.0 * np.sin(u)[..., None, None, :] ** 2, out=expo)
+    np.exp(expo, out=expo)
+    # one matrix-vector product per row of corners: BLAS rounds a row's sum
+    # by where it falls in the matrix, so every grid gets its own products
+    integral = (expo @ (u * _GL_WEIGHTS)[..., None, :, None])[..., 0]
+    cdf = ndtr(a) * ndtr(b) + (sign * width[..., None, None]) * integral / (2.0 * math.pi)
+    return (cdf[..., 1:, 1:] - cdf[..., :-1, 1:]
+            - cdf[..., 1:, :-1] + cdf[..., :-1, :-1])
 
 
-def _marginal_z_edges(probs: np.ndarray) -> np.ndarray:
+def _marginal_z_edges(probs: np.ndarray, bins: int) -> np.ndarray:
+    """z-space edges of the bins of a marginal, padded to ``bins`` bins.
+
+    The last edge and the padding edges lie past ``_Z_CLIP`` and increase,
+    so they all clip to it as +inf does: the padding bins have zero width,
+    and the real bins keep their cells.
+    """
     from scipy.special import ndtri
 
-    cum = np.concatenate(([0.0], np.cumsum(probs)))
-    cum = np.clip(cum, 0.0, 1.0)
-    edges = np.empty(cum.size)
+    edges = np.empty(bins + 1)
     edges[0] = -np.inf
-    edges[-1] = np.inf
-    edges[1:-1] = ndtri(cum[1:-1])
+    edges[1:probs.size] = ndtri(np.clip(np.cumsum(probs)[:-1], 0.0, 1.0))
+    edges[probs.size:] = _Z_CLIP + 1.0 + np.arange(bins + 1 - probs.size)
     return edges
 
 
-def _bvn_chi2(rho: float, n: float, p_row: np.ndarray, p_col: np.ndarray,
-              row_edges: np.ndarray, col_edges: np.ndarray) -> float:
-    """Chi-square of the binned bivariate normal against independence."""
-    q = bvn_cell_probs(rho, row_edges, col_edges)
-    indep = np.outer(p_row, p_col)
-    return float(n * (((q - indep) ** 2) / indep).sum())
+def _phik_tables(tables: list[np.ndarray]) -> np.ndarray:
+    """phik of each contingency count table.
+
+    The bisections of the tables with equally many columns advance in
+    lockstep, a block at a time: each step evaluates the binned bivariate
+    normal of every table in the block in one :func:`bvn_cell_probs` call,
+    on row edges padded to the block's most rows, and a block's grid of
+    (table, corner, corner, node) values stays within ``_GRID_BYTES``.
+    Tables are grouped by column count, not padded to a common one, because
+    BLAS rounds a row of corners by where it falls in the matrix.
+    """
+    out = np.zeros(len(tables))
+    observed = np.array([chi2(t) for t in tables])
+    live = np.flatnonzero(observed > 0.0)  # zero chi-square is phik 0
+    cols = np.array([t.shape[1] for t in tables])
+    for c in np.unique(cols[live]):
+        group = live[cols[live] == c]
+        rows = max(tables[k].shape[0] for k in group)
+        per_block = max(1, _GRID_BYTES // (8 * (rows + 1) * (c + 1) * _GL_NODES.size))
+        for block in np.array_split(group, -(-group.size // per_block)):
+            out[block] = _bisect_block([tables[k] for k in block], observed[block])
+    return out
+
+
+def _bisect_block(tables: list[np.ndarray], observed: np.ndarray) -> np.ndarray:
+    """phik of tables with equal column counts, bisected together;
+    ``observed`` holds their chi-squares.  Each chi-square is summed over its
+    table's own cells, in their order, as for that table alone."""
+    n_rows = np.array([t.shape[0] for t in tables])
+    rows = n_rows.max()
+    n = np.array([t.sum() for t in tables], dtype=float)
+    p_row = np.zeros((len(tables), rows))
+    for k, t in enumerate(tables):
+        p_row[k, :n_rows[k]] = t.sum(axis=1) / n[k]
+    p_col = np.array([t.sum(axis=0) for t in tables]) / n[:, None]
+    row_edges = np.array([_marginal_z_edges(p[:r], rows) for p, r in zip(p_row, n_rows)])
+    col_edges = np.array([_marginal_z_edges(p, p.size) for p in p_col])
+    indep = p_row[:, :, None] * p_col[:, None, :]  # zero on the padding rows
+    real = indep > 0
+    # a table's cells are the first (its rows) x c values of its flattened grid
+    sizes = [(np.flatnonzero(n_rows == r), r * p_col.shape[1]) for r in np.unique(n_rows)]
+
+    def curve(rho: np.ndarray) -> np.ndarray:
+        """Chi-square of each binned bivariate normal against independence."""
+        q = bvn_cell_probs(rho, row_edges, col_edges)
+        terms = np.divide((q - indep) ** 2, indep, out=np.zeros_like(q), where=real)
+        flat = terms.reshape(len(tables), -1)
+        chi = np.empty(len(tables))
+        for k, size in sizes:
+            chi[k] = flat[k, :size].sum(axis=1)
+        return n * chi
+
+    hi = np.full(len(tables), 1.0 - _RHO_TOL)
+    saturated = observed >= curve(hi)  # saturated dependence clamps to 1.0
+    lo = np.zeros(len(tables))
+    while np.any(wide := hi - lo > _RHO_TOL):
+        mid = 0.5 * (lo + hi)
+        below = curve(mid) < observed
+        lo = np.where(wide & below, mid, lo)
+        hi = np.where(wide & ~below, mid, hi)
+    return np.where(saturated, 1.0, 0.5 * (lo + hi))
 
 
 def phik(x, y, n_bins: int = PHIK_BINS) -> float:
@@ -158,37 +240,16 @@ def phik(x, y, n_bins: int = PHIK_BINS) -> float:
 
     Bins both series, computes the observed chi-square, and bisects for the
     rho whose binned bivariate normal produces the same chi-square against
-    independence.  Saturated dependence clamps to 1.0.
+    independence.  Saturated dependence clamps to 1.0.  This is
+    :func:`phik_matrix`'s computation for one pair.
     """
-    counts = contingency(x, y, n_bins)
-    observed = chi2(counts)
-    if observed <= 0.0:
-        return 0.0
-    counts = counts.astype(float)
-    n = counts.sum()
-    p_row = counts.sum(axis=1) / n
-    p_col = counts.sum(axis=0) / n
-    row_edges = _marginal_z_edges(p_row)
-    col_edges = _marginal_z_edges(p_col)
-
-    def curve(rho: float) -> float:
-        return _bvn_chi2(rho, n, p_row, p_col, row_edges, col_edges)
-
-    hi = 1.0 - _RHO_TOL
-    if observed >= curve(hi):
-        return 1.0
-    lo = 0.0
-    while hi - lo > _RHO_TOL:
-        mid = 0.5 * (lo + hi)
-        if curve(mid) < observed:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return float(_phik_tables([contingency(x, y, n_bins)])[0])
 
 
 def phik_matrix(a: np.ndarray, b: np.ndarray, n_bins: int = PHIK_BINS) -> np.ndarray:
-    """Pairwise phik between columns of ``a`` and ``b``.
+    """Pairwise phik between columns of ``a`` and ``b``: each column is
+    binned once, and every pair's bisection advances together (see
+    :func:`_phik_tables`).
 
     Degenerate pairs (constant or unbinnable columns) are reported as NaN.
     """
@@ -196,13 +257,34 @@ def phik_matrix(a: np.ndarray, b: np.ndarray, n_bins: int = PHIK_BINS) -> np.nda
     b = np.asarray(b, dtype=float)
     if a.ndim != 2 or b.ndim != 2 or a.shape[0] != b.shape[0]:
         raise ValueError("inputs must be 2-D with equal row counts")
-    out = np.full((a.shape[1], b.shape[1]), np.nan)
-    for i in range(a.shape[1]):
-        for j in range(b.shape[1]):
+    if n_bins < 2:
+        raise ValueError("n_bins must be >= 2")
+    if a.shape[0] < 2:
+        raise ValueError("need at least two observations")
+
+    def bin_ids(m: np.ndarray) -> list:
+        ids = []
+        for v in m.T:
             try:
-                out[i, j] = phik(a[:, i], b[:, j], n_bins)
+                ids.append(_bin_series(v, n_bins))
             except DegenerateBinningError:
-                pass
+                ids.append(None)
+        return ids
+
+    out = np.full((a.shape[1], b.shape[1]), np.nan)
+    cells, tables = [], []
+    a_ids, b_ids = bin_ids(a), bin_ids(b)
+    for i, ix in enumerate(a_ids):
+        for j, iy in enumerate(b_ids):
+            if ix is None or iy is None:
+                continue
+            try:
+                tables.append(_cross_tab(ix, iy, n_bins))
+            except DegenerateBinningError:
+                continue
+            cells.append((i, j))
+    if tables:
+        out[tuple(np.transpose(cells))] = _phik_tables(tables)
     return out
 
 

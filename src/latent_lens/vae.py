@@ -748,5 +748,8 @@ def load_checkpoint(path) -> Params:
             zipfile.BadZipFile) as err:
         raise CheckpointError(f"unreadable checkpoint: {err}") from err
     params = Params(cfg, **arrays)
-    params.validate()
+    try:
+        params.validate()
+    except ShapeError as err:  # the stored config does not describe the weights
+        raise CheckpointError(f"weights do not match the stored config: {err}") from err
     return params

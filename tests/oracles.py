@@ -11,6 +11,11 @@ track loop and the single-pass extractor replace.  ``reference_check_tokens``
 is ``TokenSequence``'s validation as a loop over every token, and
 ``reference_tokenize`` marks every sounding step before placing the rests:
 the forms that the min/max check and the rest-at-note-ends pass replace.
+``reference_detokenize`` walks one token sequence step by step, the form
+that the corpus-wide ``token_spans`` replaces, and ``reference_phik`` is
+one pair's bisection on its own chi-square curve, with its cells from
+``reference_bvn_cell_probs`` (one grid at a time): the form that the
+lockstep bisection of ``phik_matrix`` replaces.
 """
 
 from __future__ import annotations
@@ -22,8 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from latent_lens.features import ARPEGGIATION_INTERVALS, FEATURE_NAMES
+from latent_lens.stats import _GL_NODES, _GL_WEIGHTS, _LOG_HALF_PI, _Z_CLIP, chi2, contingency
 from latent_lens.melody import (
     HOLD,
+    MAX_PITCH,
     REST,
     STEPS_PER_BAR,
     STEPS_PER_QUARTER,
@@ -446,3 +453,87 @@ def reference_tokenize(melody: Melody) -> tuple[int, ...]:
         if not sounding[step] and (step == 0 or sounding[step - 1]):
             tokens[step] = REST
     return tuple(tokens)
+
+
+def reference_detokenize(tokens) -> list[tuple[int, int, int]]:
+    """The (pitch, onset step, duration) spans of one token sequence: a note
+    lasts until the next non-hold code or the end of the sequence."""
+    spans = []
+    cur_pitch = None
+    cur_onset = 0
+    for step, tok in enumerate(tokens):
+        if tok == HOLD:
+            continue
+        if cur_pitch is not None:
+            spans.append((cur_pitch, cur_onset, step - cur_onset))
+            cur_pitch = None
+        if tok <= MAX_PITCH:
+            cur_pitch = tok
+            cur_onset = step
+    if cur_pitch is not None:
+        spans.append((cur_pitch, cur_onset, len(tokens) - cur_onset))
+    return spans
+
+
+def reference_bvn_cell_probs(rho: float, row_edges, col_edges) -> np.ndarray:
+    """One grid's bivariate-normal cells, with the quadrature of
+    ``stats.bvn_cell_probs`` done for that grid alone: scalar rho, and one
+    matrix-vector product per row of corners."""
+    from scipy.special import ndtr
+
+    a = np.clip(np.asarray(row_edges, dtype=float), -_Z_CLIP, _Z_CLIP)
+    b = np.clip(np.asarray(col_edges, dtype=float), -_Z_CLIP, _Z_CLIP)
+    v_lo = math.log(math.acos(abs(rho)))
+    width = _LOG_HALF_PI - v_lo
+    u = np.exp(v_lo + width * _GL_NODES)
+    sign = math.copysign(1.0, rho)
+    x, y = a[:, None, None], b[None, :, None]
+    expo = (x * x + y * y - 2.0 * sign * x * y * np.cos(u)) / (2.0 * np.sin(u) ** 2)
+    integral = sign * width * (np.exp(-expo) @ (u * _GL_WEIGHTS))
+    cdf = np.outer(ndtr(a), ndtr(b)) + integral / (2.0 * math.pi)
+    return cdf[1:, 1:] - cdf[:-1, 1:] - cdf[1:, :-1] + cdf[:-1, :-1]
+
+
+def _marginal_z_edges(probs: np.ndarray) -> np.ndarray:
+    from scipy.special import ndtri
+
+    cum = np.clip(np.concatenate(([0.0], np.cumsum(probs))), 0.0, 1.0)
+    edges = np.empty(cum.size)
+    edges[0] = -np.inf
+    edges[-1] = np.inf
+    edges[1:-1] = ndtri(cum[1:-1])
+    return edges
+
+
+def reference_phik(x, y, n_bins: int, rho_tol: float = 1e-4) -> float:
+    """phik of one pair: bisect rho in [0, 1 - rho_tol] until the bracket is
+    at most rho_tol wide, for the binned bivariate normal whose chi-square
+    against independence equals the observed one (1.0 if even 1 - rho_tol
+    falls short, 0.0 for a zero chi-square)."""
+    counts = contingency(x, y, n_bins)
+    observed = chi2(counts)
+    if observed <= 0.0:
+        return 0.0
+    counts = counts.astype(float)
+    n = counts.sum()
+    p_row = counts.sum(axis=1) / n
+    p_col = counts.sum(axis=0) / n
+    row_edges = _marginal_z_edges(p_row)
+    col_edges = _marginal_z_edges(p_col)
+    indep = np.outer(p_row, p_col)
+
+    def curve(rho: float) -> float:
+        q = reference_bvn_cell_probs(rho, row_edges, col_edges)
+        return float(n * (((q - indep) ** 2) / indep).sum())
+
+    hi = 1.0 - rho_tol
+    if observed >= curve(hi):
+        return 1.0
+    lo = 0.0
+    while hi - lo > rho_tol:
+        mid = 0.5 * (lo + hi)
+        if curve(mid) < observed:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

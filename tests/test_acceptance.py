@@ -229,7 +229,9 @@ def test_criterion_6_neuron_feature_identification(desk_model, musical_corpus_2b
         n_music = len(partition.music)
         assert 0 < n_music < lm.d, "need both music and noise dims"
 
-        fmatrix, _ = features.extract_corpus_features(musical_corpus_2bar)
+        fmatrix, _ = features.extract_corpus_features(
+            [melody.tokenize(m) for m in musical_corpus_2bar],
+            [m.tempo_qpm for m in musical_corpus_2bar])
         fnames = features.FEATURE_NAMES
         phik_m = analysis.neuron_feature_phik(lm, partition, fmatrix, PHIK_CFG)
         p_scores = _block_scores(phik_m, fnames, "P")

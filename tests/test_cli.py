@@ -428,6 +428,34 @@ def test_analyze_requires_compatible_checkpoint(tiny_run, tmp_path):
                "--out-dir", str(tmp_path / "r")) == 1
 
 
+@pytest.mark.parametrize("command", ["analyze", "roundtrip", "train"])
+def test_checkpoint_config_mismatch_is_input_error(tiny_run, tmp_path, caplog, command):
+    """A checkpoint whose stored config disagrees with its weights is a bad
+    input file: exit 1, not a numerical failure."""
+    _, corpus_path, _, train_dir, _ = tiny_run
+    with np.load(train_dir / "checkpoint.npz") as data:
+        arrays = dict(data)
+    meta = json.loads(bytes(arrays["meta"]))
+    meta["config"]["latent_dim"] = 12
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    ckpt = tmp_path / "mismatch.npz"
+    with open(ckpt, "wb") as fh:
+        np.savez(fh, **arrays)
+    one = tmp_path / "one.jsonl"
+    one.write_text(corpus_path.read_text().splitlines()[0] + "\n")
+    argv = {
+        "analyze": ["analyze", "--checkpoint", str(ckpt), "--corpus", str(corpus_path)],
+        "roundtrip": ["roundtrip", "--checkpoint", str(ckpt), "--melody", str(one)],
+        "train": ["train", "--corpus", str(corpus_path), "--resume", str(ckpt),
+                  "--epochs", "1"],
+    }[command]
+    out = tmp_path / "out"
+    assert run(*argv, "--out-dir", str(out)) == 1
+    assert "w_mu has shape" in caplog.messages[-1]
+    if command != "train":
+        assert not out.exists()
+
+
 def test_analyze_too_small_corpus_is_input_error(tiny_run, tmp_path, caplog):
     _, corpus_path, _, train_dir, _ = tiny_run
     small = tmp_path / "small.jsonl"

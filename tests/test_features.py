@@ -8,10 +8,14 @@ from latent_lens.features import (
     extract_corpus_features,
     extract_features,
 )
-from latent_lens.melody import Melody, NoteSpan
+from latent_lens.melody import Melody, NoteSpan, tokenize
 
 from conftest import random_melody
 from oracles import reference_features
+
+
+def corpus_features(mels):
+    return extract_corpus_features([tokenize(m) for m in mels], [m.tempo_qpm for m in mels])
 
 
 def c_major_scale() -> Melody:
@@ -163,18 +167,18 @@ def test_fraction_features_bounded():
 def test_corpus_matrix_order():
     rng = np.random.default_rng(24)
     mels = [random_melody(rng) for _ in range(10)]
-    matrix, degenerate = extract_corpus_features(mels)
+    matrix, degenerate = corpus_features(mels)
     assert matrix.shape == degenerate.shape == (10, 20)
-    single, _ = extract_corpus_features([mels[3]])
+    single, _ = corpus_features([mels[3]])
     assert np.array_equal(matrix[3], single[0])
     # permuting rows permutes the matrix rows identically
-    matrix_rev, _ = extract_corpus_features(mels[::-1])
+    matrix_rev, _ = corpus_features(mels[::-1])
     assert np.array_equal(matrix_rev, matrix[::-1])
 
 
 def test_empty_corpus_rejected():
     with pytest.raises(ValueError):
-        extract_corpus_features([])
+        corpus_features([])
 
 
 # ------------------------------------------- corpus pass vs per-melody oracle
@@ -219,7 +223,7 @@ def melodies(draw):
 
 
 def assert_matches_reference(mels):
-    values, degenerate = extract_corpus_features(mels)
+    values, degenerate = corpus_features(mels)
     ref = [reference_features(m) for m in mels]
     ref_values = np.array([v for v, _ in ref])
     assert np.array_equal(degenerate, np.array([d for _, d in ref]))

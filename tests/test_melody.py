@@ -17,11 +17,12 @@ from latent_lens.melody import (
     NoteSpan,
     TokenSequence,
     detokenize,
+    token_spans,
     tokenize,
 )
 
 from conftest import random_melody
-from oracles import reference_check_tokens, reference_tokenize
+from oracles import reference_check_tokens, reference_detokenize, reference_tokenize
 
 
 def test_tokenize_single_quarter_note():
@@ -235,3 +236,68 @@ def test_jsonl_roundtrip(tmp_path):
     line = path.read_text().splitlines()[0]
     obj = json.loads(line)
     assert set(obj) == {"bars", "tempo_qpm", "tokens"}
+
+
+# ------------------------------------------------- spans read from token rows
+
+def _random_tokens(seed: int, steps: int) -> tuple[int, ...]:
+    """A valid token row: half holds, a fifth rests, the rest note codes."""
+    rng = np.random.default_rng(seed)
+    draw = rng.random(steps)
+    codes = np.where(draw < 0.5, HOLD, np.where(draw < 0.7, REST, rng.integers(0, 128, steps)))
+    codes[0] = rng.integers(0, 129)  # a note or a rest, never a hold
+    return tuple(codes.tolist())
+
+
+@st.composite
+def _token_rows(draw):
+    bars = draw(st.sampled_from((2, 16)))
+    steps = STEPS_PER_BAR * bars
+    tokens = list(_random_tokens(draw(st.integers(0, 2**32 - 1)), steps))
+    kind = draw(st.sampled_from(("drawn", "all rest", "held to the end", "rest first")))
+    if kind == "all rest":
+        tokens = [REST] + [HOLD] * (steps - 1)
+    elif kind == "held to the end":
+        cut = draw(st.integers(0, steps - 1))
+        tokens[cut:] = [draw(st.integers(0, 127))] + [HOLD] * (steps - 1 - cut)
+    elif kind == "rest first":
+        tokens[0] = REST
+    return TokenSequence(tuple(tokens), bars)
+
+
+def _reference_rows(rows):
+    return [(i, *span) for i, seq in enumerate(rows) for span in reference_detokenize(seq.tokens)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_token_rows(), min_size=1, max_size=12))
+@example([TokenSequence((REST,) + (HOLD,) * 31, 2)])  # all rest
+@example([TokenSequence((REST, 60) + (HOLD,) * 30, 2)])  # starts with a rest, held to the end
+@example([TokenSequence((60,) + (HOLD,) * 255, 16), TokenSequence((REST,) * 32, 2)])
+def test_token_spans_match_detokenize(rows):
+    got = list(zip(*(a.tolist() for a in token_spans(rows))))
+    assert got == _reference_rows(rows)
+    for seq in rows:
+        assert [(s.pitch, s.onset_step, s.duration_steps)
+                for s in detokenize(seq).spans] == reference_detokenize(seq.tokens)
+    # a token matrix gives the spans of its rows
+    for bars in (2, 16):
+        same = [seq for seq in rows if seq.bars == bars]
+        if same:
+            matrix = np.array([seq.tokens for seq in same], dtype=np.int64)
+            got = list(zip(*(a.tolist() for a in token_spans(matrix))))
+            assert got == _reference_rows(same)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    bars=st.sampled_from((2, 16)),
+    seed=st.integers(0, 2**32 - 1),
+    tempo=st.sampled_from((120.0, 93.75, 1e-3, 1234.5678, 120, np.float64(93.75))),
+)
+def test_json_line_is_json_dumps(bars, seed, tempo):
+    tokens = _random_tokens(seed, STEPS_PER_BAR * bars)
+    seq = TokenSequence(tokens, bars)
+    line = melody.to_json_line(seq, tempo)
+    assert line == json.dumps({"bars": bars, "tempo_qpm": tempo, "tokens": list(tokens)})
+    assert melody.from_json_line(line) == (seq, float(tempo))

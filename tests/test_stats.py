@@ -1,7 +1,9 @@
+import inspect
 import math
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,8 +22,10 @@ from latent_lens.stats import (
     phik,
     phik_matrix,
 )
+from latent_lens import stats
+from latent_lens.stats import _RHO_TOL, _Z_CLIP
 
-from oracles import reference_lowess
+from oracles import reference_bvn_cell_probs, reference_lowess, reference_phik
 
 
 # ---------------------------------------------------------------- contingency
@@ -120,17 +124,35 @@ def test_bvn_rejects_bad_rho():
 
 
 def test_bvn_chi2_monotone_in_rho():
-    from latent_lens.stats import _bvn_chi2
-
     edges = np.array([-np.inf, -0.8, 0.0, 0.9, np.inf])
-    from scipy.special import ndtr
-
     p = np.diff(ndtr(edges))
-    values = [
-        _bvn_chi2(r, 1000.0, p, p, edges, edges)
-        for r in np.linspace(0.0, 0.95, 12)
-    ]
+    indep = np.outer(p, p)
+    rhos = np.linspace(0.0, 0.95, 12)
+    grid = np.tile(edges, (rhos.size, 1))
+    q = bvn_cell_probs(rhos, grid, grid)
+    values = 1000.0 * (((q - indep) ** 2) / indep).sum(axis=(1, 2))
     assert all(b > a for a, b in zip(values, values[1:]))
+
+
+def test_bvn_cells_match_one_grid_reference_bit_for_bit():
+    # scalar and batched, and in a batch also when a grid's row edges are
+    # padded with zero-width bins past the clip to the batch's most rows
+    rng = np.random.default_rng(13)
+    for _ in range(40):
+        k_cols = rng.integers(0, 10)
+        cols = np.concatenate(([-np.inf], np.sort(rng.normal(0.0, 2.0, k_cols)), [np.inf]))
+        rhos, padded, want = rng.uniform(-0.9999, 0.9999, 5), [], []
+        for rho in rhos:
+            inner = np.sort(rng.normal(0.0, 2.0, rng.integers(0, 10)))
+            rows = np.concatenate(([-np.inf], inner, [np.inf]))
+            want.append(reference_bvn_cell_probs(rho, rows, cols))
+            assert np.array_equal(bvn_cell_probs(rho, rows, cols), want[-1])
+            padded.append(np.concatenate((rows[:-1], _Z_CLIP + 1.0 + np.arange(10 - inner.size))))
+        batched = bvn_cell_probs(rhos, np.array(padded), np.tile(cols, (5, 1)))
+        assert batched.shape == (5, 10, k_cols + 1)
+        for cells, expected in zip(batched, want):
+            assert np.array_equal(cells[:expected.shape[0]], expected)
+            assert np.all(cells[expected.shape[0]:] == 0.0)
 
 
 def _owens_t_cdf(h: float, k: float, rho: float) -> float:
@@ -261,6 +283,158 @@ def test_phik_matrix_shapes_and_missing():
     # column permutation of b permutes result columns
     m2 = phik_matrix(a, b[:, ::-1], 5)
     assert np.allclose(m[:, ::-1], m2, equal_nan=True)
+
+
+# ------------------------------------------- lockstep bisection vs per-pair oracle
+
+BISECTION_STEPS = math.ceil(math.log2((1.0 - _RHO_TOL) / _RHO_TOL))
+
+
+def _reference_matrix(a, b, n_bins):
+    out = np.full((a.shape[1], b.shape[1]), np.nan)
+    for i in range(a.shape[1]):
+        for j in range(b.shape[1]):
+            try:
+                out[i, j] = reference_phik(a[:, i], b[:, j], n_bins)
+            except DegenerateBinningError:
+                pass
+    return out
+
+
+def _assert_matches_reference(a, b, n_bins):
+    got = phik_matrix(a, b, n_bins)
+    want = _reference_matrix(a, b, n_bins)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.nanmax(np.abs(got - want), initial=0.0) <= _RHO_TOL
+    assert np.array_equal(got, want, equal_nan=True)
+    return got
+
+
+@st.composite
+def _phik_case(draw):
+    """Columns of every kind phik meets: continuous, skewed (empty middle
+    bins), few-valued (ragged tables), constant (NaN), a copy of another
+    column (1.0), a pair with a zero chi-square (0.0), and a monotone map of
+    another column, whose staircase table puts the observed chi-square at
+    the curve's limit as rho -> 1, where the curve is flat to rounding and
+    its last bits steer the bisection."""
+    n = 4 * draw(st.integers(5, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = ("normal", "skewed", "few", "constant", "alternating")
+    a_kinds = draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=5))
+    b_kinds = draw(st.lists(st.sampled_from(kinds + ("copy", "halves", "monotone", "dependent")),
+                            min_size=1, max_size=4))
+
+    def column(kind, a=None):
+        if kind == "normal":
+            return rng.standard_normal(n)
+        if kind == "skewed":
+            return rng.exponential(size=n) ** 3
+        if kind == "few":
+            return rng.integers(0, rng.integers(2, 5), n).astype(float)
+        if kind == "constant":
+            return np.full(n, 3.0)
+        if kind == "alternating":
+            return np.tile([0.0, 1.0], n // 2)
+        if kind == "halves":  # against "alternating": equal counts in all 4 cells
+            return np.repeat([0.0, 1.0], n // 2)
+        source = a[:, rng.integers(a.shape[1])]
+        if kind == "copy":
+            return source.copy()
+        if kind == "monotone":
+            return np.arcsinh(5.0 * source)
+        return source ** 2 + 0.3 * rng.standard_normal(n)  # "dependent"
+
+    a = np.column_stack([column(k) for k in a_kinds])
+    b = np.column_stack([column(k, a) for k in b_kinds])
+    n_bins = draw(st.sampled_from((2, 4, 10)))
+    # a budget of one table's grid or a few: the pairs cross block boundaries
+    grid_bytes = draw(st.sampled_from((1, 20_000, stats._GRID_BYTES)))
+    return a, b, n_bins, grid_bytes
+
+
+@settings(max_examples=150, deadline=None)
+@given(_phik_case())
+def test_phik_matrix_matches_per_pair_reference(case):
+    a, b, n_bins, grid_bytes = case
+    with mock.patch.object(stats, "_GRID_BYTES", grid_bytes):
+        got = _assert_matches_reference(a, b, n_bins)
+    # phik is the one-pair case of the same computation
+    for i, j in zip(*np.nonzero(np.isfinite(got))):
+        assert phik(a[:, i], b[:, j], n_bins) == got[i, j]
+
+
+def test_phik_matrix_edge_cells_and_default_blocks():
+    rng = np.random.default_rng(11)
+    n = 400
+    a = np.column_stack([rng.standard_normal((n, 10)), np.tile([0.0, 1.0], n // 2),
+                         np.full(n, 2.0)])
+    b = np.column_stack([a[:, 0], np.repeat([0.0, 1.0], n // 2),
+                         rng.uniform(size=(n, 8))])
+    # 120 tables of 10 columns at 10 bins: more than one default block
+    per_block = stats._GRID_BYTES // (8 * 11 * 11 * 40)
+    assert a.shape[1] * b.shape[1] > per_block
+    got = _assert_matches_reference(a, b, 10)
+    assert got[0, 0] == 1.0  # identical columns
+    assert got[10, 1] == 0.0  # zero chi-square
+    assert np.isnan(got[11]).all()  # constant column
+
+
+def test_phik_matrix_matches_reference_on_flat_curves():
+    """Staircase tables with a skewed binary column: the observed chi-square
+    sits at the curve's limit as rho -> 1, which the curve reaches to within
+    rounding well before 1 - _RHO_TOL, so its last bits steer the bisection
+    (most cells land in (0.9, 1)).  The tables have 2 to 5 rows and 2
+    columns: one block, its grids padded to 5 rows."""
+    rng = np.random.default_rng(3)
+    n = 2000
+    for _ in range(100):
+        n_zero = rng.integers(20, 300)
+        y = np.ones(n)
+        y[:n_zero] = 0.0
+        cols = []
+        for rows in (2, 3, 4, 5):
+            cuts = np.sort(rng.choice(np.arange(n_zero + 1, n), rows - 1, replace=False))
+            cols.append(np.searchsorted(cuts, np.arange(n), side="right").astype(float))
+        _assert_matches_reference(np.column_stack(cols), y[:, None], 10)
+
+
+def test_phik_calls_its_traced_callees_directly():
+    """The benchmark's tracer puts every span opened inside a ``phik`` call
+    under it, and counts one ``bvn_cell_probs`` span per bisection step: phik
+    calls ``contingency`` and ``bvn_cell_probs`` itself, with no other public
+    function of ``stats`` in between, and the matrix makes one such call per
+    step for all its pairs."""
+    calls = []  # (function, innermost wrapped caller)
+    stack = []
+
+    def wrap(name, fn):
+        def counted(*args, **kwargs):
+            calls.append((name, stack[-1] if stack else None))
+            stack.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                stack.pop()
+        return counted
+
+    public = [name for name, fn in vars(stats).items()
+              if inspect.isfunction(fn) and fn.__module__ == stats.__name__
+              and not name.startswith("_")]
+    assert {"phik", "phik_matrix", "contingency", "bvn_cell_probs"} <= set(public)
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=200)
+    with mock.patch.multiple(stats, **{name: wrap(name, getattr(stats, name))
+                                       for name in public}):
+        stats.phik(x, x + rng.normal(size=200))
+        assert calls[0] == ("phik", None)
+        assert all(caller == "phik" for _, caller in calls[1:])
+        assert [name for name, _ in calls].count("contingency") == 1
+        assert [name for name, _ in calls].count("bvn_cell_probs") == 1 + BISECTION_STEPS
+
+        calls.clear()
+        stats.phik_matrix(rng.uniform(size=(300, 6)), rng.uniform(size=(300, 3)))
+        assert calls.count(("bvn_cell_probs", "phik_matrix")) == 1 + BISECTION_STEPS
 
 
 # ---------------------------------------------------------------- lowess

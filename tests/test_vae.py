@@ -615,7 +615,7 @@ def test_checkpoint_config_mismatch(tmp_path):
     meta["config"]["latent_dim"] = 12
     arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
     np.savez(path, **arrays)
-    with pytest.raises(ShapeError, match="w_mu has shape"):
+    with pytest.raises(CheckpointError, match="w_mu has shape"):
         load_checkpoint(path)
 
 
