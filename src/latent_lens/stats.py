@@ -296,7 +296,11 @@ def lowess(x, y, frac: float = 0.3, iters: int = 2) -> np.ndarray:
     bandwidth is its distance to its r-th nearest of all n points, ties
     counted, r = ceil(frac * n).  Points with equal x share one local fit
     (Cleveland 1979), so fits are made once per distinct x value, with
-    weights on the (m, m) grid of the m distinct values.  The reweighting
+    weights on the (m, m) grid of the m distinct values.  Each local line is
+    solved from moments about its own fit point, so a window of near-tied x
+    far from the origin keeps its digits; it falls back to the weighted mean
+    when det = s0 * s2 - s1**2 is at most 1e-12 of s0 times the second moment
+    about x = 0 (where the weights sit on one x value).  The reweighting
     stops early once the median absolute residual is at most 1e-12 of the
     mean |y|: the fits then interpolate the data (as every local fit does
     when r = 2 and x is distinct), and the residuals are rounding noise.
@@ -313,9 +317,12 @@ def lowess(x, y, frac: float = 0.3, iters: int = 2) -> np.ndarray:
     r = min(n - 1, max(2, int(math.ceil(frac * n))))
     ux, inv = np.unique(x, return_inverse=True)
     h = np.partition(np.abs(ux[:, None] - x[None, :]), r, axis=1)[:, r]
-    w = np.clip(np.abs(ux[:, None] - ux[None, :]) / np.maximum(h, 1e-12)[:, None], 0.0, 1.0)
+    dx = ux[None, :] - ux[:, None]  # dx[i, k]: offset of ux[k] from the fit point ux[i]
+    w = np.clip(np.abs(dx) / np.maximum(h, 1e-12)[:, None], 0.0, 1.0)
     w = 1.0 - w * w * w
     w = w * w * w  # w[i, k]: weight of each point at ux[k] in the fit at ux[i]
+    w_dx = w * dx
+    w_dx2 = w_dx * dx
 
     delta = np.ones(n)
     yest = np.zeros(n)
@@ -323,13 +330,15 @@ def lowess(x, y, frac: float = 0.3, iters: int = 2) -> np.ndarray:
         # per distinct value, the robustness weights' sum and their y-weighted sum
         d0 = np.bincount(inv, weights=delta, minlength=ux.size)
         d1 = np.bincount(inv, weights=delta * y, minlength=ux.size)
-        s0, s1, s2, t0, t1 = (w @ np.column_stack((d0, d0 * ux, d0 * ux * ux, d1, d1 * ux))).T
+        d01 = np.column_stack((d0, d1))
+        (s0, t0), (s1, t1) = (w @ d01).T, (w_dx @ d01).T
+        s2 = w_dx2 @ d0
         det = s0 * s2 - s1 * s1
-        ok = det > 1e-12 * np.maximum(s0 * s2, 1e-300)
+        s2_raw = s2 + ux * (2.0 * s1 + ux * s0)  # the second moment about x = 0
+        ok = det > 1e-12 * np.maximum(s0 * s2_raw, 1e-300)
         slope = np.where(ok, (s0 * t1 - s1 * t0) / np.where(ok, det, 1.0), 0.0)
-        s0_safe = np.where(s0 > 0, s0, 1.0)
-        intercept = (t0 - slope * s1) / s0_safe  # falls back to weighted mean
-        yest = intercept[inv] + slope[inv] * x
+        fit = (t0 - slope * s1) / np.where(s0 > 0, s0, 1.0)  # falls back to weighted mean
+        yest = fit[inv]
         if it == iters:
             break
         resid = y - yest

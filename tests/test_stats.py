@@ -490,6 +490,16 @@ def test_lowess_stops_when_local_fits_interpolate():
     assert np.array_equal(lowess(x[::-1], y[::-1], frac=0.05, iters=2), fit[::-1])
 
 
+def test_lowess_keeps_digits_far_from_origin():
+    # x spread by 1e-3 around 50: moments about x = 0 cancel to ~1e-7 of the
+    # fit; the same fit on x - 50 in extended precision is the reference
+    rng = np.random.default_rng(5)
+    x = 50.0 + 1e-3 * rng.standard_normal(80)
+    y = x + rng.standard_normal(80)
+    ref = reference_lowess(x - 50.0, y, 0.3, 2, dtype=np.longdouble)
+    assert np.max(np.abs(lowess(x, y, frac=0.3) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 @st.composite
 def _lowess_inputs(draw):
     n = draw(st.integers(5, 300))
