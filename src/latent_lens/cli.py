@@ -9,6 +9,7 @@ reproducible.  Exit codes: 0 success, 1 input error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import json
 import logging
@@ -60,13 +61,13 @@ def _apply_config_defaults(sub: argparse.ArgumentParser, values: dict[str, str])
             if lowered not in ("true", "false", "1", "0"):
                 raise CliInputError(f"config key {key!r} must be boolean, got {raw!r}")
             defaults[key] = lowered in ("true", "1")
-        elif action.type is not None:
+        else:  # the checks a flag's value gets: its type, then its choices
             try:
-                defaults[key] = action.type(raw)
+                defaults[key] = (action.type or str)(raw)
             except ValueError:
                 raise CliInputError(f"config key {key!r} has invalid value {raw!r}")
-        else:
-            defaults[key] = raw
+            if action.choices is not None and defaults[key] not in action.choices:
+                raise CliInputError(f"config key {key!r} must be one of {action.choices}")
         action.required = False  # satisfied by the config file
     sub.set_defaults(**defaults)
 
@@ -75,7 +76,8 @@ def _ingest_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("midi_dir")
     p.add_argument("out_corpus")
     extraction = midi.ExtractionConfig
-    p.add_argument("--bars", type=int, default=extraction.bars, choices=(2, 16))
+    p.add_argument("--bars", type=int, default=extraction.bars,
+                   choices=melody.SUPPORTED_BARS)
     p.add_argument("--max-per-file", type=int, default=extraction.max_melodies_per_file)
     p.add_argument("--min-notes", type=int, default=extraction.min_notes)
     p.add_argument("--allow-any-meter", action="store_true",
@@ -88,7 +90,8 @@ def _gen_args(p: argparse.ArgumentParser) -> None:
     randoms, musical = corpus.RandomSeqConfig, corpus.SyntheticConfig
     p.add_argument("--seed", type=int, default=musical.seed)
     p.add_argument("--out", required=True)
-    p.add_argument("--bars", type=int, default=randoms.bars, choices=(2, 16))
+    p.add_argument("--bars", type=int, default=randoms.bars,
+                   choices=melody.SUPPORTED_BARS)
     p.add_argument("--n-notes-min", type=int, default=randoms.n_notes_min)
     p.add_argument("--n-notes-max", type=int, default=randoms.n_notes_max)
     p.add_argument("--pitch-min", type=int, default=randoms.pitch_min)
@@ -165,6 +168,16 @@ def build_parser(command: str | None = None) -> tuple[_Parser, argparse._SubPars
     return parser, subs
 
 
+def _config(cls, args: argparse.Namespace, **given):
+    """A ``cls`` config from the parsed flags whose dests are its field names,
+    and the ``given`` values; a value the config rejects is an input error."""
+    flags = vars(args).keys() & {f.name for f in dataclasses.fields(cls)} - given.keys()
+    try:
+        return cls(**{name: getattr(args, name) for name in flags}, **given)
+    except ValueError as err:
+        raise CliInputError(str(err))
+
+
 def _load_corpus_file(path: str, manifest: report.RunManifest
                       ) -> list[tuple[melody.TokenSequence, float]]:
     """Parse a corpus from one read of its file, and record the SHA-256 of
@@ -176,7 +189,7 @@ def _load_corpus_file(path: str, manifest: report.RunManifest
     manifest.add_input(path, data)
     try:
         entries = melody.load_corpus(data)
-    except (melody.InvalidTokenSequence, ValueError, KeyError) as err:
+    except ValueError as err:
         raise CliInputError(f"malformed corpus {path}: {err}")
     if not entries:
         raise CliInputError(f"corpus {path} is empty")
@@ -193,15 +206,8 @@ def cmd_ingest(args) -> int:
     )
     if not paths:
         raise CliInputError(f"no .mid/.midi files under {args.midi_dir}")
-    try:
-        cfg = midi.ExtractionConfig(
-            bars=args.bars,
-            max_melodies_per_file=args.max_per_file,
-            min_notes=args.min_notes,
-            require_four_four=not args.allow_any_meter,
-        )
-    except ValueError as err:
-        raise CliInputError(str(err))
+    cfg = _config(midi.ExtractionConfig, args, max_melodies_per_file=args.max_per_file,
+                  require_four_four=not args.allow_any_meter)
 
     # each file is read once: the bytes parsed are the bytes hashed
     manifest = report.RunManifest("ingest", vars(args))
@@ -254,25 +260,11 @@ def cmd_gen(args) -> int:
         raise CliInputError("--n must be >= 1")
     try:
         if args.kind == "random":
-            cfg = corpus.RandomSeqConfig(
-                n_notes_min=args.n_notes_min,
-                n_notes_max=args.n_notes_max,
-                pitch_min=args.pitch_min,
-                pitch_max=args.pitch_max,
-                duration_s_min=args.duration_s_min,
-                duration_s_max=args.duration_s_max,
-                bars=args.bars,
-            )
+            cfg = _config(corpus.RandomSeqConfig, args)
             melodies = corpus.gen_random_corpus(cfg, args.n, args.seed)
         else:
             grid = tuple(int(v) for v in str(args.rhythm_grid).split(",") if v)
-            cfg = corpus.SyntheticConfig(
-                key_root=args.key_root,
-                step_bias=args.step_bias,
-                rhythm_grid=grid,
-                bars=args.bars,
-                seed=args.seed,
-            )
+            cfg = _config(corpus.SyntheticConfig, args, rhythm_grid=grid)
             melodies = corpus.gen_musical_corpus(cfg, args.n)
     except ValueError as err:
         raise CliInputError(str(err))
@@ -304,27 +296,9 @@ def cmd_train(args) -> int:
     seq_len = len(entries[0][0]) if params is None else params.config.seq_len
     kept, skipped = _keep_model_length(entries, seq_len, args.corpus)
     manifest.dropped = {"skipped_sequences": {"corpus": skipped}}
-    try:
-        tcfg = vae.TrainConfig(
-            epochs=args.epochs,
-            lr=args.lr,
-            batch=args.batch,
-            beta_max=args.beta_max,
-            beta_anneal_steps=args.beta_anneal_steps,
-            grad_clip_norm=args.grad_clip_norm,
-            seed=args.seed,
-            input_dropout=args.input_dropout,
-        )
-        if params is None:
-            mcfg = vae.ModelConfig(
-                embed_dim=args.embed_dim,
-                hidden_dim=args.hidden_dim,
-                latent_dim=args.latent_dim,
-                seq_len=seq_len,
-            )
-            params = vae.init_params(mcfg, args.seed)
-    except ValueError as err:
-        raise CliInputError(str(err))
+    tcfg = _config(vae.TrainConfig, args)
+    if params is None:
+        params = vae.init_params(_config(vae.ModelConfig, args, seq_len=seq_len), args.seed)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -484,9 +458,7 @@ def cmd_roundtrip(args) -> int:
     entries = _load_corpus_file(args.melody, manifest)
     if len(entries) != 1:
         raise CliInputError(f"expected exactly one melody, got {len(entries)}")
-    seq, tempo = entries[0]
-    if len(seq) != params.config.seq_len:
-        raise CliInputError("melody length does not match the checkpoint")
+    [(seq, tempo)], _ = _keep_model_length(entries, params.config.seq_len, args.melody)
     if args.k < 0:
         raise CliInputError("-k must be >= 0")
 

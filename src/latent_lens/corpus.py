@@ -13,9 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .melody import QUARTERS_PER_BAR, STEPS_PER_BAR, Melody, NoteSpan
+from .melody import QUARTERS_PER_BAR, STEPS_PER_BAR, SUPPORTED_BARS, Melody, NoteSpan
 
 MAJOR_SCALE = (0, 2, 4, 5, 7, 9, 11)
+
+
+def _check_bars(bars: int) -> None:
+    if bars not in SUPPORTED_BARS:
+        raise ValueError(f"bars must be {' or '.join(map(str, SUPPORTED_BARS))}, got {bars}")
 
 
 @dataclass(frozen=True)
@@ -29,6 +34,7 @@ class RandomSeqConfig:
     bars: int = 2
 
     def __post_init__(self) -> None:
+        _check_bars(self.bars)
         total = STEPS_PER_BAR * self.bars
         if not 2 <= self.n_notes_min <= self.n_notes_max <= total:
             raise ValueError("note count bounds must satisfy 2 <= min <= max <= steps")
@@ -41,15 +47,13 @@ class RandomSeqConfig:
 @dataclass(frozen=True)
 class SyntheticConfig:
     key_root: int = 0
-    scale: tuple[int, ...] = MAJOR_SCALE
     step_bias: float = 0.85
     rhythm_grid: tuple[int, ...] = (1, 2, 2, 4, 4, 8)
     bars: int = 2
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.scale:
-            raise ValueError("scale must be non-empty")
+        _check_bars(self.bars)
         if any(d < 1 for d in self.rhythm_grid):
             raise ValueError("rhythm grid durations must be positive")
         if not 0.0 <= self.step_bias <= 1.0:
@@ -94,15 +98,14 @@ def gen_musical_melody(cfg: SyntheticConfig, rng: np.random.Generator) -> Melody
     duration, so the corpus has strong per-melody pitch and rhythm factors.
     """
     total = STEPS_PER_BAR * cfg.bars
-    degrees = sorted(cfg.scale)
     tones = [
         12 * octave + cfg.key_root + degree
         for octave in range(1, 8)
-        for degree in degrees
+        for degree in MAJOR_SCALE
     ]
     tonic_octave = int(rng.integers(3, 6))
     start_idx = tones.index(12 * tonic_octave + cfg.key_root) + int(
-        rng.integers(0, len(degrees))
+        rng.integers(0, len(MAJOR_SCALE))
     )
     dominant = int(cfg.rhythm_grid[rng.integers(0, len(cfg.rhythm_grid))])
     lo_idx = max(0, start_idx - _WALK_SPAN)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -200,6 +201,7 @@ def step_seconds(tempo_qpm):
     return 60.0 / (tempo_qpm * STEPS_PER_QUARTER)
 
 
+_LINE_KEYS = {"bars", "tempo_qpm", "tokens"}
 _TOKEN_TEXT = tuple(str(code) for code in range(VOCAB_SIZE))
 
 
@@ -216,9 +218,24 @@ def to_json_line(seq: TokenSequence, tempo_qpm: float) -> str:
 
 
 def from_json_line(line: str) -> tuple[TokenSequence, float]:
-    obj = json.loads(line)
-    seq = TokenSequence(tuple(obj["tokens"]), int(obj["bars"]))
-    return seq, float(obj["tempo_qpm"])
+    """The (token sequence, tempo) of one corpus line; a line that is not
+    a corpus entry raises ``ValueError``."""
+    try:
+        obj = json.loads(line)
+    except RecursionError:  # nested deeper than the parser's stack
+        raise InvalidTokenSequence("a corpus line may not nest that deeply") from None
+    if type(obj) is not dict or not _LINE_KEYS <= obj.keys():
+        raise InvalidTokenSequence("a corpus line must be an object with bars, "
+                                   "tempo_qpm and tokens")
+    tokens, bars, tempo = obj["tokens"], obj["bars"], obj["tempo_qpm"]
+    if type(tokens) is not list or not set(map(type, tokens)) <= {int}:
+        raise InvalidTokenSequence("tokens must be a list of integers")
+    if type(bars) is not int:
+        raise InvalidTokenSequence(f"bars must be an integer, got {bars!r}")
+    # an int past the float range would overflow float()
+    if type(tempo) not in (int, float) or not 0 < tempo <= sys.float_info.max:
+        raise InvalidTokenSequence(f"tempo_qpm must be a finite number > 0, got {tempo!r}")
+    return TokenSequence(tuple(tokens), bars), float(tempo)
 
 
 def save_corpus(path: str | Path, entries: Iterable[tuple[TokenSequence, float]]) -> int:

@@ -23,6 +23,7 @@ from operator import attrgetter, itemgetter
 from .melody import (
     STEPS_PER_BAR,
     STEPS_PER_QUARTER,
+    SUPPORTED_BARS,
     Melody,
     NoteSpan,
 )
@@ -116,8 +117,9 @@ class ExtractionConfig:
     require_four_four: bool = True
 
     def __post_init__(self) -> None:
-        if self.bars not in (2, 16):
-            raise ValueError(f"bars must be 2 or 16, got {self.bars}")
+        if self.bars not in SUPPORTED_BARS:
+            raise ValueError(f"bars must be {' or '.join(map(str, SUPPORTED_BARS))}, "
+                             f"got {self.bars}")
         if self.max_melodies_per_file < 1:
             raise ValueError("max_melodies_per_file must be >= 1")
         if self.min_notes < 1:

@@ -299,11 +299,12 @@ def lowess(x, y, frac: float = 0.3, iters: int = 2) -> np.ndarray:
     weights on the (m, m) grid of the m distinct values.  Each local line is
     solved from moments about its own fit point, so a window of near-tied x
     far from the origin keeps its digits; it falls back to the weighted mean
-    when det = s0 * s2 - s1**2 is at most 1e-12 of s0 times the second moment
-    about x = 0 (where the weights sit on one x value).  The reweighting
-    stops early once the median absolute residual is at most 1e-12 of the
-    mean |y|: the fits then interpolate the data (as every local fit does
-    when r = 2 and x is distinct), and the residuals are rounding noise.
+    when det = s0 * s2 - s1**2 is at most 1e-12 of s0 * s2 (where the weights
+    sit on one x value), both moments about the fit point, so where x sits
+    does not change which fits fall back.  The reweighting stops early once
+    the median absolute residual is at most 1e-12 of the mean |y|: the fits
+    then interpolate the data (as every local fit does when r = 2 and x is
+    distinct), and the residuals are rounding noise.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -334,8 +335,7 @@ def lowess(x, y, frac: float = 0.3, iters: int = 2) -> np.ndarray:
         (s0, t0), (s1, t1) = (w @ d01).T, (w_dx @ d01).T
         s2 = w_dx2 @ d0
         det = s0 * s2 - s1 * s1
-        s2_raw = s2 + ux * (2.0 * s1 + ux * s0)  # the second moment about x = 0
-        ok = det > 1e-12 * np.maximum(s0 * s2_raw, 1e-300)
+        ok = det > 1e-12 * np.maximum(s0 * s2, 1e-300)
         slope = np.where(ok, (s0 * t1 - s1 * t0) / np.where(ok, det, 1.0), 0.0)
         fit = (t0 - slope * s1) / np.where(s0 > 0, s0, 1.0)  # falls back to weighted mean
         yest = fit[inv]

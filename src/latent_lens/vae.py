@@ -55,7 +55,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .melody import HOLD, STEPS_PER_BAR, VOCAB_SIZE, TokenSequence
+from .melody import HOLD, STEPS_PER_BAR, SUPPORTED_BARS, VOCAB_SIZE, TokenSequence
 
 CHECKPOINT_MAGIC = "latent-lens-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -97,8 +97,10 @@ class ModelConfig:
         for name in ("embed_dim", "hidden_dim", "latent_dim", "seq_len"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.seq_len % STEPS_PER_BAR != 0 or self.seq_len // STEPS_PER_BAR not in (2, 16):
-            raise ValueError(f"seq_len must be 32 or 256, got {self.seq_len}")
+        lengths = [STEPS_PER_BAR * bars for bars in SUPPORTED_BARS]
+        if self.seq_len not in lengths:
+            raise ValueError(f"seq_len must be {' or '.join(map(str, lengths))}, "
+                             f"got {self.seq_len}")
 
     @property
     def bars(self) -> int:

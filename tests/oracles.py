@@ -156,7 +156,8 @@ def reference_lowess(x, y, frac: float = 0.3, iters: int = 2, dtype=float,
         t0 = wd @ y
         t1 = wd @ (x * y)
         det = s0 * s2 - s1 * s1
-        ok = det > 1e-12 * np.maximum(s0 * s2, 1e-300)
+        s2_fit = s2 - x * (2.0 * s1 - x * s0)  # the second moment about each fit point
+        ok = det > 1e-12 * np.maximum(s0 * s2_fit, 1e-300)
         slope = np.where(ok, (s0 * t1 - s1 * t0) / np.where(ok, det, 1.0), 0.0)
         s0_safe = np.where(s0 > 0, s0, 1.0)
         intercept = (t0 - slope * s1) / s0_safe  # falls back to weighted mean

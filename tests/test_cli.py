@@ -7,12 +7,13 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from latent_lens import analysis, cli, melody, midi, report, stats, vae
+from latent_lens import analysis, cli, corpus, melody, midi, report, stats, vae
 from latent_lens.corpus import RandomSeqConfig, SyntheticConfig, gen_musical_corpus
 from latent_lens.features import FEATURE_NAMES
 from latent_lens.melody import load_corpus
 
 from oracles import reference_features
+from test_melody import MALFORMED_LINES
 from test_midi import scale_file
 
 
@@ -242,6 +243,27 @@ def test_invalid_flag_value_is_input_error(tiny_run, tmp_path, caplog, command, 
     assert run(*map(str, argv), flag, value) == 1
     assert caplog.records[-1].levelname == "ERROR"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("line", MALFORMED_LINES.values(), ids=MALFORMED_LINES.keys())
+def test_malformed_corpus_line_is_input_error(tiny_run, tmp_path, caplog, line):
+    _, corpus_path, _, train_dir, _ = tiny_run
+    ckpt = str(train_dir / "checkpoint.npz")
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(corpus_path.read_text().splitlines()[:20] + [line]) + "\n")
+    one = tmp_path / "one.jsonl"
+    one.write_text(line + "\n")
+    runs = {
+        "train": ["--corpus", bad, "--epochs", "1"],
+        "analyze": ["--checkpoint", ckpt, "--corpus", bad],
+        "roundtrip": ["--checkpoint", ckpt, "--melody", one],
+    }
+    for command, argv in runs.items():
+        out = tmp_path / command
+        caplog.clear()
+        assert run(command, *map(str, argv), "--out-dir", str(out)) == 1, command
+        assert caplog.messages[-1].startswith("malformed corpus"), command
+        assert not out.exists(), command
 
 
 def test_checkpoint_is_read_once_and_hashed_as_loaded(tiny_run, tmp_path, monkeypatch):
@@ -598,6 +620,22 @@ def test_config_file_defaults_and_override(tmp_path):
     assert run("gen", "--config", str(bad), "--out", str(tmp_path / "x.jsonl")) == 1
 
 
+@pytest.mark.parametrize("command, key_value, argv", [
+    ("gen", "kind=banana", ["--n", "5", "--out"]),
+    ("ingest", "bars=3", []),
+])
+def test_config_file_values_pass_the_flag_checks(tmp_path, caplog, command, key_value, argv):
+    (tmp_path / "scale.mid").write_bytes(scale_file())  # what ingest would read
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(key_value + "\n")
+    out = tmp_path / "out.jsonl"
+    positional = [str(tmp_path)] if command == "ingest" else []
+    assert run(command, *positional, "--config", str(cfg), *argv, str(out)) == 1
+    key = key_value.partition("=")[0]
+    assert caplog.messages[-1].startswith(f"config key {key!r} must be one of")
+    assert not out.exists()
+
+
 def test_unknown_command_is_input_error():
     assert run("frobnicate") == 1
 
@@ -664,3 +702,63 @@ def test_flag_defaults_are_the_config_defaults():
     assert analyze["sigma_threshold"] == analysis.DEFAULT_SIGMA_THRESHOLD
     assert analyze["activation_threshold"] == analysis.DEFAULT_ACTIVATION_THRESHOLD
     assert analyze["phik_bins"] == stats.PHIK_BINS
+
+
+def _recording(monkeypatch, module, name, calls):
+    original = getattr(module, name)
+
+    def recording(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, recording)
+
+
+def test_flags_reach_their_configs(tmp_path, monkeypatch):
+    """Every flag that feeds a config, set away from its default, reaches the
+    config the command builds."""
+    calls = {}
+    for module, name in ((corpus, "gen_random_corpus"), (corpus, "gen_musical_corpus"),
+                         (vae, "train"), (midi, "extract_melodies")):
+        _recording(monkeypatch, module, name, calls.setdefault(name, []))
+
+    random_jsonl, musical_jsonl = tmp_path / "random.jsonl", tmp_path / "musical.jsonl"
+    assert run("gen", "--kind", "random", "--n", "3", "--out", str(random_jsonl),
+               "--n-notes-min", "3", "--n-notes-max", "20", "--pitch-min", "40",
+               "--pitch-max", "90", "--duration-s-min", "2", "--duration-s-max", "5",
+               "--bars", "16") == 0
+    assert run("gen", "--kind", "musical", "--n", "40", "--out", str(musical_jsonl),
+               "--key-root", "2", "--step-bias", "0.5", "--rhythm-grid", "1,2,4",
+               "--bars", "16", "--seed", "7") == 0
+    assert run("train", "--corpus", str(musical_jsonl), "--out-dir", str(tmp_path / "m"),
+               "--epochs", "1", "--embed-dim", "5", "--hidden-dim", "6", "--latent-dim", "3",
+               "--lr", "0.002", "--batch", "16", "--beta-max", "0.1",
+               "--beta-anneal-steps", "100", "--grad-clip-norm", "2.0",
+               "--input-dropout", "0.1", "--seed", "3") == 0
+    mididir = tmp_path / "mids"
+    mididir.mkdir()
+    notes = tuple(melody.NoteSpan(60 + step % 12, step, 4) for step in range(0, 256, 4))
+    (mididir / "long.mid").write_bytes(midi.write_midi(melody.Melody(notes, 16, 120.0)))
+    assert run("ingest", str(mididir), str(tmp_path / "ingested.jsonl"), "--bars", "16",
+               "--max-per-file", "2", "--min-notes", "2", "--allow-any-meter") == 0
+
+    (random_cfg, *_), = calls["gen_random_corpus"]
+    (musical_cfg, _), = calls["gen_musical_corpus"]
+    (params, _, train_cfg), = calls["train"]
+    (_, extraction_cfg), = calls["extract_melodies"]
+    built = [  # (config, every field a flag feeds, with its value above)
+        (random_cfg, dict(n_notes_min=3, n_notes_max=20, pitch_min=40, pitch_max=90,
+                          duration_s_min=2, duration_s_max=5, bars=16)),
+        (musical_cfg, dict(key_root=2, step_bias=0.5, rhythm_grid=(1, 2, 4), bars=16, seed=7)),
+        (train_cfg, dict(epochs=1, lr=0.002, batch=16, beta_max=0.1, beta_anneal_steps=100,
+                         grad_clip_norm=2.0, input_dropout=0.1, seed=3)),
+        (params.config, dict(embed_dim=5, hidden_dim=6, latent_dim=3, vocab=melody.VOCAB_SIZE,
+                             seq_len=256)),
+        (extraction_cfg, dict(bars=16, max_melodies_per_file=2, min_notes=2,
+                              require_four_four=False)),
+    ]
+    for cfg, expected in built:
+        assert dataclasses.asdict(cfg) == expected, type(cfg).__name__
+        for field in dataclasses.fields(cfg):
+            if field.name not in ("vocab", "seq_len"):  # set by no flag
+                assert expected[field.name] != field.default, field.name

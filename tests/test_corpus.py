@@ -98,6 +98,8 @@ def test_random_config_validation():
         RandomSeqConfig(n_notes_max=33)
     with pytest.raises(ValueError):
         RandomSeqConfig(pitch_max=200)
+    with pytest.raises(ValueError, match="bars must be 2 or 16, got 3"):
+        RandomSeqConfig(bars=3)
 
 
 def test_musical_step_bias_one_gives_scale_steps():
@@ -142,8 +144,8 @@ def test_musical_16bar():
 
 def test_synthetic_config_validation():
     with pytest.raises(ValueError):
-        SyntheticConfig(scale=())
-    with pytest.raises(ValueError):
         SyntheticConfig(rhythm_grid=(0, 2))
     with pytest.raises(ValueError):
         SyntheticConfig(step_bias=1.5)
+    with pytest.raises(ValueError, match="bars must be 2 or 16, got 3"):
+        SyntheticConfig(bars=3)

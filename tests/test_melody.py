@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -221,6 +222,66 @@ def _melodies(draw):
 @given(_melodies())
 def test_tokenize_matches_reference(m):
     assert tokenize(m).tokens == reference_tokenize(m)
+
+
+_HOLDS = ", 129" * 31
+# corpus lines that are JSON but not a corpus entry, by test id
+MALFORMED_LINES = {
+    "array": "[1, 2, 3]",
+    "deep-nesting": "[" * 100_000 + "]" * 100_000,
+    "no-tokens": '{"bars": 2, "tempo_qpm": 120.0}',
+    "tokens-not-a-list": '{"bars": 2, "tempo_qpm": 120.0, "tokens": 5}',
+    "fractional-token": '{"bars": 2, "tempo_qpm": 120.0, "tokens": [60.7%s]}' % _HOLDS,
+    "boolean-token": '{"bars": 2, "tempo_qpm": 120.0, "tokens": [true%s]}' % _HOLDS,
+    "string-bars": '{"bars": "2", "tempo_qpm": 120.0, "tokens": [60%s]}' % _HOLDS,
+    "zero-tempo": '{"bars": 2, "tempo_qpm": 0, "tokens": [60%s]}' % _HOLDS,
+    "negative-tempo": '{"bars": 2, "tempo_qpm": -120.0, "tokens": [60%s]}' % _HOLDS,
+    "nan-tempo": '{"bars": 2, "tempo_qpm": NaN, "tokens": [60%s]}' % _HOLDS,
+    "infinite-tempo": '{"bars": 2, "tempo_qpm": Infinity, "tokens": [60%s]}' % _HOLDS,
+    "string-tempo": '{"bars": 2, "tempo_qpm": "120", "tokens": [60%s]}' % _HOLDS,
+}
+
+
+@pytest.mark.parametrize("line", MALFORMED_LINES.values(), ids=MALFORMED_LINES.keys())
+def test_malformed_corpus_line_is_invalid(line):
+    with pytest.raises(InvalidTokenSequence):
+        melody.from_json_line(line)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+    max_leaves=20,
+)
+
+
+@st.composite
+def _corpus_line_values(draw):
+    """Any JSON value, or a corpus entry that may have one field, or one
+    token, replaced by any JSON value."""
+    if draw(st.booleans()):
+        return draw(_json_values)
+    bars = draw(st.sampled_from((2, 16)))
+    tokens = list(_random_tokens(draw(st.integers(0, 2**32 - 1)), STEPS_PER_BAR * bars))
+    entry = {"bars": bars, "tempo_qpm": draw(st.floats(1e-3, 1e3)), "tokens": tokens}
+    swap = draw(st.sampled_from(("nothing", "bars", "tempo_qpm", "tokens", "one token")))
+    if swap == "one token":
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(_json_values)
+    elif swap != "nothing":
+        entry[swap] = draw(_json_values)
+    return entry
+
+
+@settings(max_examples=300, deadline=None)
+@given(_corpus_line_values())
+def test_any_json_value_loads_or_is_invalid(value):
+    """A corpus line of any JSON value either loads or raises ValueError."""
+    try:
+        [(seq, tempo)] = melody.load_corpus(json.dumps(value).encode())
+    except ValueError:
+        return
+    assert value["tokens"] == list(seq.tokens) and value["bars"] == seq.bars
+    assert 0 < tempo < math.inf
 
 
 def test_jsonl_roundtrip(tmp_path):

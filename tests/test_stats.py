@@ -500,6 +500,16 @@ def test_lowess_keeps_digits_far_from_origin():
     assert np.max(np.abs(lowess(x, y, frac=0.3) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+def test_lowess_fits_do_not_depend_on_where_x_sits():
+    # x spread by 1e-3 around 50, r = 2: x - 50 is exact, so the fits on x
+    # and on x - 50 see the same offsets and must fall back alike
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        x = 50.0 + 1e-3 * rng.standard_normal(11)
+        y = rng.standard_normal(11)
+        assert np.array_equal(lowess(x, y, frac=0.016), lowess(x - 50.0, y, frac=0.016))
+
+
 @st.composite
 def _lowess_inputs(draw):
     n = draw(st.integers(5, 300))
