@@ -54,6 +54,8 @@ class SyntheticConfig:
 
     def __post_init__(self) -> None:
         _check_bars(self.bars)
+        if not self.rhythm_grid:
+            raise ValueError("rhythm grid must hold at least one duration")
         if any(d < 1 for d in self.rhythm_grid):
             raise ValueError("rhythm grid durations must be positive")
         if not 0.0 <= self.step_bias <= 1.0:

@@ -27,23 +27,26 @@ bit-identical to the training encoder.  Decoding is greedy and batched:
 ``decode`` scans all its latent rows at once, gathering each step's gate
 input from a table over the whole vocabulary.
 
-The training pass writes the large (T, B, .) arrays that backprop reads
-(scan states and gates, logits and the backward scans' gate gradients)
-into a ``_Workspace``: named float64 buffers that outlive one call.  The
-scans gather their gate inputs from token tables a few steps at a time
+The weights are one float64 vector, ``Params.flat``, with a named view per
+parameter.  Gradients and Adam's moments are vectors of the same layout, so
+clipping scales a gradient in one operation and Adam updates in one pass.
+The training pass writes the gradient, the token tables and their summed
+gradients, and the large (T, B, .) arrays that backprop reads (scan states
+and gates, logits and the backward scans' gate gradients), into a
+``_Workspace``: named float64 buffers that outlive one call.  The scans
+gather their gate inputs from token tables a few steps at a time
 (``_GATHER_BYTES``), and the backward decoder scan computes each step's
 output gradient in the step, so neither is held for the whole sequence:
-at B = 32 with the default model the workspace holds 14.7 MiB at 2 bars
-and 113.0 MiB at 16 bars.  ``train`` makes one per run, and gradient
-clipping and Adam keep their temporaries in one too, so every step after
-the first writes into the memory of the step before instead of mapping
-fresh pages; the public ``elbo_loss`` and ``elbo_loss_and_grads`` make
-one per call, and nothing they return aliases it.  The gathers use
-``np.take(..., mode="clip", out=...)``: with the default ``mode="raise"``
-numpy fills a hidden temporary and copies it into ``out``, so that a bad
-index leaves ``out`` untouched.  The indices are table rows made here,
-always in range.  ``encode_batch`` allocates its step buffers once per
-call.
+at B = 32 with the default model the workspace holds 17.0 MiB at 2 bars
+and 115.2 MiB at 16 bars.  ``train`` makes one per run, so every
+step after the first writes into the memory of the step before instead of
+mapping fresh pages; the public ``elbo_loss`` and ``elbo_loss_and_grads``
+make one per call, and nothing they return aliases a buffer another call
+writes.  The gathers use ``np.take(..., mode="clip", out=...)``: with the
+default ``mode="raise"`` numpy fills a hidden temporary and copies it into
+``out``, so that a bad index leaves ``out`` untouched.  The indices are
+table rows made here, always in range.  ``encode_batch`` allocates its step
+buffers once per call.
 """
 
 from __future__ import annotations
@@ -132,40 +135,29 @@ def _param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
 PARAM_NAMES = tuple(_param_shapes(ModelConfig()).keys())
 
 
-@dataclass
 class Params:
-    """All weights of the model, tied to the config they were built for."""
+    """All weights of the model, tied to the config they were built for: one
+    float64 vector ``flat``, and per name of ``PARAM_NAMES`` an attribute
+    viewing its part of ``flat``, reshaped, in that order with no gap."""
 
-    config: ModelConfig
-    embed: np.ndarray
-    enc_wx: np.ndarray
-    enc_wh: np.ndarray
-    enc_b: np.ndarray
-    w_mu: np.ndarray
-    b_mu: np.ndarray
-    w_logvar: np.ndarray
-    b_logvar: np.ndarray
-    z_w: np.ndarray
-    z_b: np.ndarray
-    dec_wx: np.ndarray
-    dec_wz: np.ndarray
-    dec_wh: np.ndarray
-    dec_b: np.ndarray
-    out_w: np.ndarray
-    out_b: np.ndarray
+    def __init__(self, config: ModelConfig, flat: np.ndarray | None = None):
+        shapes = _param_shapes(config)
+        self.config = config
+        self.flat = np.zeros(sum(map(math.prod, shapes.values()))) if flat is None else flat
+        offset = 0
+        for name, shape in shapes.items():
+            size = math.prod(shape)
+            setattr(self, name, self.flat[offset : offset + size].reshape(shape))
+            offset += size
 
     def arrays(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in PARAM_NAMES}
 
     def copy(self) -> "Params":
-        return Params(self.config, **{k: v.copy() for k, v in self.arrays().items()})
+        return Params(self.config, self.flat.copy())
 
     def validate(self) -> None:
-        shapes = _param_shapes(self.config)
-        for name, shape in shapes.items():
-            arr = getattr(self, name)
-            if arr.shape != shape:
-                raise ShapeError(f"{name} has shape {arr.shape}, expected {shape}")
+        for name, arr in self.arrays().items():
             if not np.all(np.isfinite(arr)):
                 raise NumericalError(f"non-finite values in parameter {name}")
 
@@ -211,14 +203,12 @@ class EpochStats:
 def init_params(cfg: ModelConfig, seed: int) -> Params:
     """Uniform(-a, a) weights with a = sqrt(6 / (fan_in + fan_out)); zero biases."""
     rng = np.random.default_rng(seed)
-    arrays = {}
-    for name, shape in _param_shapes(cfg).items():
-        if len(shape) == 2:
-            a = np.sqrt(6.0 / (shape[0] + shape[1]))
-            arrays[name] = rng.uniform(-a, a, size=shape)
-        else:
-            arrays[name] = np.zeros(shape)
-    return Params(cfg, **arrays)
+    params = Params(cfg)
+    for arr in params.arrays().values():
+        if arr.ndim == 2:
+            a = np.sqrt(6.0 / (arr.shape[0] + arr.shape[1]))
+            arr[...] = rng.uniform(-a, a, size=arr.shape)
+    return params
 
 
 class _Workspace:
@@ -310,15 +300,15 @@ def _gru_forward(table: np.ndarray, idx: np.ndarray, wh: np.ndarray, h0: np.ndar
 
 
 def _gru_backward(wh: np.ndarray, hs: np.ndarray, ru_all: np.ndarray,
-                  c_all: np.ndarray, dh: np.ndarray, ws: _Workspace,
+                  c_all: np.ndarray, dh: np.ndarray, ws: _Workspace, dwh: np.ndarray,
                   dys: np.ndarray | None = None, w_out: np.ndarray | None = None):
-    """Backprop through the cell.
+    """Backprop through the cell, writing the gradient of ``wh`` into ``dwh``.
 
     dh: (B, H) gradient at the last state.  dys, if given, are the (T, B, V)
     gradients of outputs y[t] = hs[t + 1] @ w_out (+ a bias); each step adds
     its state's share dys[t] @ w_out.T, computed into a (B, H) workspace
-    buffer.  Returns (dg_ru, dg_c, dwh, dh0), the input contribution's
-    gradient split into (T, B, 2H) and (T, B, H).  dg_ru and dg_c are the
+    buffer.  Returns (dg_ru, dg_c, dh0), the input contribution's gradient
+    split into (T, B, 2H) and (T, B, H).  dg_ru and dg_c are the
     workspace's "dg_ru" and "dg_c", which the next backward scan overwrites.
     """
     t_len, b, h_dim = c_all.shape
@@ -344,8 +334,9 @@ def _gru_backward(wh: np.ndarray, hs: np.ndarray, ru_all: np.ndarray,
     h_prev_all = hs[:-1].reshape(-1, h_dim)
     s_all = np.multiply(ru_all[..., :h_dim], hs[:-1], out=ws.get("s", c_all.shape))
     s_all = s_all.reshape(-1, h_dim)  # r * h_prev
-    dwh_ru = h_prev_all.T @ dg_ru.reshape(-1, 2 * h_dim)
-    return dg_ru, dg_c, np.hstack((dwh_ru, s_all.T @ dg_c.reshape(-1, h_dim))), dh
+    np.matmul(h_prev_all.T, dg_ru.reshape(-1, 2 * h_dim), out=dwh[:, : 2 * h_dim])
+    np.matmul(s_all.T, dg_c.reshape(-1, h_dim), out=dwh[:, 2 * h_dim :])
+    return dg_ru, dg_c, dh
 
 
 def _stack_batch(batch, seq_len: int) -> np.ndarray:
@@ -378,22 +369,18 @@ def _token_ids(tokens: np.ndarray):
 
 def _token_sums(idx: np.ndarray, rows: int, dg_ru: np.ndarray, dg_c: np.ndarray,
                 ws: _Workspace):
-    """Gate-input gradients summed per table row, (rows, 3H); idx is the
-    (T, B) row of each position.  The last (spare) row gets zero."""
-    n = idx.size
+    """Gate-input gradients summed per table row, (rows, 3H), into the
+    workspace's "dtok", which the next call overwrites; idx is the (T, B)
+    row of each position.  The last (spare) row gets zero."""
+    n, h2 = idx.size, dg_ru.shape[-1]
     onehot = ws.get("onehot", (rows, n))
     onehot.fill(0.0)
     onehot[idx.ravel(), np.arange(n)] = 1.0
     onehot[-1] = 0.0
-    return np.hstack((onehot @ dg_ru.reshape(n, -1), onehot @ dg_c.reshape(n, -1)))
-
-
-def _encoder_forward(p: Params, emb: np.ndarray, inv: np.ndarray, ws: _Workspace):
-    """Training encoder over the rows ``emb`` = embed[ids] of ``_token_ids``."""
-    enc = _gru_forward(emb @ p.enc_wx + p.enc_b, inv.T, p.enc_wh,
-                       np.zeros((inv.shape[0], p.config.hidden_dim)), ws, "enc")
-    h_t = enc[0][-1]
-    return enc, h_t @ p.w_mu + p.b_mu, h_t @ p.w_logvar + p.b_logvar
+    out = ws.get("dtok", (rows, h2 + dg_c.shape[-1]))
+    np.matmul(onehot, dg_ru.reshape(n, -1), out=out[:, :h2])
+    np.matmul(onehot, dg_c.reshape(n, -1), out=out[:, h2:])
+    return out
 
 
 def encode_batch(p: Params, batch) -> tuple[np.ndarray, np.ndarray]:
@@ -477,7 +464,11 @@ def _loss_forward(p: Params, tokens: np.ndarray, beta: float, eps: np.ndarray,
     b, t_len = tokens.shape
     ids, inv = _token_ids(tokens)
     emb = p.embed[ids]
-    enc, mu, logvar = _encoder_forward(p, emb, inv, ws)
+    table = np.matmul(emb, p.enc_wx, out=ws.get("table", (ids.size, p.enc_wx.shape[1])))
+    table += p.enc_b
+    enc = _gru_forward(table, inv.T, p.enc_wh, np.zeros((b, p.config.hidden_dim)), ws, "enc")
+    h_t = enc[0][-1]
+    mu, logvar = h_t @ p.w_mu + p.b_mu, h_t @ p.w_logvar + p.b_logvar
     sigma = np.exp(0.5 * logvar)
     z = mu + sigma * eps
 
@@ -488,7 +479,7 @@ def _loss_forward(p: Params, tokens: np.ndarray, beta: float, eps: np.ndarray,
     dec_idx[1:] = inv.T[:-1]
     if keep_mask is not None:
         dec_idx[keep_mask.T == 0] = ids.size - 1
-    table = emb @ p.dec_wx
+    table = np.matmul(emb, p.dec_wx, out=ws.get("table", (ids.size, p.dec_wx.shape[1])))
     table[-1] = 0.0
     dec = _gru_forward(table, dec_idx, p.dec_wh, np.tanh(z @ p.z_w + p.z_b), ws, "dec",
                        (z @ p.dec_wz, p.dec_b))
@@ -515,13 +506,14 @@ def _loss_forward(p: Params, tokens: np.ndarray, beta: float, eps: np.ndarray,
 
 
 def _loss_backward(p: Params, tokens: np.ndarray, beta: float, eps: np.ndarray,
-                   state) -> dict[str, np.ndarray]:
-    """Gradients from ``_loss_forward``'s cache, using its workspace for the
-    large intermediates; no returned array lives in the workspace."""
+                   state) -> Params:
+    """Gradients from ``_loss_forward``'s cache, each written into its view
+    of the workspace's flat "grad" vector, which is returned as a Params;
+    the large intermediates use the workspace too."""
     ids, emb, inv, dec_idx, enc, dec, mu, logvar, sigma, z, ex, sumex, ws = state
     b, t_len = tokens.shape
     cfg = p.config
-    grads: dict[str, np.ndarray] = {}
+    g = Params(cfg, ws.get("grad", p.flat.shape))
 
     dlogits = np.divide(ex, sumex[..., None], out=ex)
     tgt = tokens.T[..., None]
@@ -533,42 +525,42 @@ def _loss_backward(p: Params, tokens: np.ndarray, beta: float, eps: np.ndarray,
     hs_dec = dec[0]
     h_flat = hs_dec[1:].reshape(-1, cfg.hidden_dim)
     dl_flat = dlogits.reshape(-1, cfg.vocab)
-    grads["out_w"] = h_flat.T @ dl_flat
-    grads["out_b"] = dl_flat.sum(axis=0)
+    np.matmul(h_flat.T, dl_flat, out=g.out_w)
+    np.sum(dl_flat, axis=0, out=g.out_b)
 
-    dg_ru, dg_c, grads["dec_wh"], dh0 = _gru_backward(
-        p.dec_wh, *dec, np.zeros((b, cfg.hidden_dim)), ws, dlogits, p.out_w
+    dg_ru, dg_c, dh0 = _gru_backward(
+        p.dec_wh, *dec, np.zeros((b, cfg.hidden_dim)), ws, g.dec_wh, dlogits, p.out_w
     )
-    dtok_dec = _token_sums(dec_idx, ids.size, dg_ru, dg_c, ws)
-    grads["dec_wx"] = emb.T @ dtok_dec
+    dtok = _token_sums(dec_idx, ids.size, dg_ru, dg_c, ws)
+    np.matmul(emb.T, dtok, out=g.dec_wx)
+    d_emb = dtok @ p.dec_wx.T
     dg_dec_sum = np.concatenate((dg_ru.sum(axis=0), dg_c.sum(axis=0)), axis=1)
-    grads["dec_wz"] = z.T @ dg_dec_sum
-    grads["dec_b"] = dg_dec_sum.sum(axis=0)
+    np.matmul(z.T, dg_dec_sum, out=g.dec_wz)
+    np.sum(dg_dec_sum, axis=0, out=g.dec_b)
 
     h0 = hs_dec[0]
     da0 = dh0 * (1.0 - h0 * h0)
-    grads["z_w"] = z.T @ da0
-    grads["z_b"] = da0.sum(axis=0)
+    np.matmul(z.T, da0, out=g.z_w)
+    np.sum(da0, axis=0, out=g.z_b)
     dz = da0 @ p.z_w.T + dg_dec_sum @ p.dec_wz.T
 
     dmu = dz + beta * mu / b
     dlogvar = dz * eps * 0.5 * sigma + beta * 0.5 * (np.exp(logvar) - 1.0) / b
 
     h_t = enc[0][-1]
-    grads["w_mu"] = h_t.T @ dmu
-    grads["b_mu"] = dmu.sum(axis=0)
-    grads["w_logvar"] = h_t.T @ dlogvar
-    grads["b_logvar"] = dlogvar.sum(axis=0)
+    np.matmul(h_t.T, dmu, out=g.w_mu)
+    np.sum(dmu, axis=0, out=g.b_mu)
+    np.matmul(h_t.T, dlogvar, out=g.w_logvar)
+    np.sum(dlogvar, axis=0, out=g.b_logvar)
     dh_t = dmu @ p.w_mu.T + dlogvar @ p.w_logvar.T
 
-    dg_ru, dg_c, grads["enc_wh"], _ = _gru_backward(p.enc_wh, *enc, dh_t, ws)
-    dtok_enc = _token_sums(inv.T, ids.size, dg_ru, dg_c, ws)
-    grads["enc_wx"] = emb.T @ dtok_enc
-    grads["enc_b"] = dtok_enc.sum(axis=0)
-    d_embed = np.zeros_like(p.embed)
-    d_embed[ids[:-1]] = (dtok_dec @ p.dec_wx.T + dtok_enc @ p.enc_wx.T)[:-1]
-    grads["embed"] = d_embed
-    return grads
+    dg_ru, dg_c, _ = _gru_backward(p.enc_wh, *enc, dh_t, ws, g.enc_wh)
+    dtok = _token_sums(inv.T, ids.size, dg_ru, dg_c, ws)
+    np.matmul(emb.T, dtok, out=g.enc_wx)
+    np.sum(dtok, axis=0, out=g.enc_b)
+    g.embed.fill(0.0)
+    g.embed[ids[:-1]] = (d_emb + dtok @ p.enc_wx.T)[:-1]
+    return g
 
 
 def elbo_loss(p: Params, batch, beta: float, rng: np.random.Generator):
@@ -589,55 +581,56 @@ def elbo_loss_and_grads(p: Params, batch, beta: float, rng: np.random.Generator)
     tokens = _stack_batch(batch, p.config.seq_len)
     eps = rng.standard_normal((tokens.shape[0], p.config.latent_dim))
     loss, recon, kl, state = _loss_forward(p, tokens, beta, eps)
-    grads = _loss_backward(p, tokens, beta, eps, state)
-    return loss, recon, kl, grads
+    return loss, recon, kl, _loss_backward(p, tokens, beta, eps, state).arrays()
 
 
-def _clip_grads(grads: dict[str, np.ndarray], max_norm: float, ws: _Workspace) -> None:
+# The order ``_loss_backward`` writes the gradients in.  The clip norm adds one
+# sum of squares per parameter in this order, which fixes its rounding.
+_GRAD_ORDER = ("out_w", "out_b", "dec_wh", "dec_wx", "dec_wz", "dec_b", "z_w", "z_b",
+               "w_mu", "b_mu", "w_logvar", "b_logvar", "enc_wh", "enc_wx", "enc_b", "embed")
+
+
+def _clip_grads(grads: Params, max_norm: float, ws: _Workspace) -> None:
     total = 0.0
-    for g in grads.values():
+    for name in _GRAD_ORDER:
+        g = getattr(grads, name)
         total += float(np.multiply(g, g, out=ws.get("square", g.shape)).sum())
     norm = np.sqrt(total)
     if max_norm > 0 and norm > max_norm:
-        scale = max_norm / norm
-        for g in grads.values():
-            g *= scale
+        grads.flat *= max_norm / norm
 
 
 class _Adam:
-    """Adam with bias correction, matched to the parameter dict layout."""
+    """Adam with bias correction; its moments are laid out like ``Params.flat``."""
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
     def __init__(self, params: Params, lr: float):
         self.lr = lr
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.arrays().items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.arrays().items()}
-        self._ws = _Workspace()
+        self.m = np.zeros_like(params.flat)
+        self.v = np.zeros_like(params.flat)
+        self._tmp = np.empty_like(params.flat)
 
-    def step(self, params: Params, grads: dict[str, np.ndarray]) -> None:
+    def step(self, params: Params, grad: np.ndarray) -> None:
+        """Update ``params`` from the flat ``grad``, which ends holding the update."""
         self.t += 1
         b1c = 1.0 - self.beta1**self.t
         b2c = 1.0 - self.beta2**self.t
-        for name, g in grads.items():
-            m = self.m[name]
-            v = self.v[name]
-            tmp = self._ws.get("tmp", g.shape)
-            update = self._ws.get("update", g.shape)
-            m *= self.beta1
-            m += np.multiply(1.0 - self.beta1, g, out=tmp)
-            v *= self.beta2
-            np.multiply(1.0 - self.beta2, g, out=tmp)
-            tmp *= g
-            v += tmp
-            np.divide(v, b2c, out=tmp)
-            np.sqrt(tmp, out=tmp)
-            tmp += self.eps
-            np.divide(m, b1c, out=update)
-            update /= tmp  # (m / b1c) / (sqrt(v / b2c) + eps)
-            update *= self.lr
-            getattr(params, name)[...] -= update
+        m, v, tmp = self.m, self.v, self._tmp
+        m *= self.beta1
+        m += np.multiply(1.0 - self.beta1, grad, out=tmp)
+        v *= self.beta2
+        np.multiply(1.0 - self.beta2, grad, out=tmp)
+        tmp *= grad
+        v += tmp
+        np.divide(v, b2c, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += self.eps
+        update = np.divide(m, b1c, out=grad)
+        update /= tmp  # (m / b1c) / (sqrt(v / b2c) + eps)
+        update *= self.lr
+        params.flat -= update
 
 
 def train(p: Params, corpus, cfg: TrainConfig) -> tuple[Params, list[EpochStats]]:
@@ -695,7 +688,7 @@ def train(p: Params, corpus, cfg: TrainConfig) -> tuple[Params, list[EpochStats]
                 ) from err
             grads = _loss_backward(params, batch, beta, eps, state)
             _clip_grads(grads, cfg.grad_clip_norm, ws)
-            opt.step(params, grads)
+            opt.step(params, grads.flat)
             step += 1
             losses.append(loss)
             recons.append(recon)
@@ -742,16 +735,19 @@ def load_checkpoint(path) -> Params:
                 raise CheckpointError("bad checkpoint magic")
             if meta.get("version") != CHECKPOINT_VERSION:
                 raise CheckpointError(f"unsupported version {meta.get('version')}")
-            cfg = ModelConfig(**meta["config"])
-            arrays = {name: data[f"param_{name}"] for name in PARAM_NAMES}
+            params = Params(ModelConfig(**meta["config"]))
+            for name, view in params.arrays().items():
+                arr = data[f"param_{name}"]
+                if arr.shape != view.shape:  # the stored config does not describe the weights
+                    raise CheckpointError("weights do not match the stored config: "
+                                          f"{name} has shape {arr.shape}, expected {view.shape}")
+                if arr.dtype != np.float64:
+                    raise CheckpointError(f"param_{name} holds {arr.dtype}, not float64")
+                view[...] = arr
     except CheckpointError:
         raise
-    except (OSError, EOFError, ValueError, KeyError, json.JSONDecodeError,
+    except (OSError, EOFError, ValueError, KeyError, MemoryError, json.JSONDecodeError,
             zipfile.BadZipFile) as err:
         raise CheckpointError(f"unreadable checkpoint: {err}") from err
-    params = Params(cfg, **arrays)
-    try:
-        params.validate()
-    except ShapeError as err:  # the stored config does not describe the weights
-        raise CheckpointError(f"weights do not match the stored config: {err}") from err
+    params.validate()
     return params

@@ -61,6 +61,14 @@ def test_gen_bad_flags(tmp_path):
                "--pitch-max", "10", "--out", str(tmp_path / "y.jsonl")) == 1
 
 
+def test_gen_empty_rhythm_grid_is_input_error(tmp_path, caplog):
+    out = tmp_path / "x.jsonl"
+    assert run("gen", "--kind", "musical", "--n", "5", "--rhythm-grid", "",
+               "--out", str(out)) == 1
+    assert caplog.messages[-1] == "rhythm grid must hold at least one duration"
+    assert not out.exists()
+
+
 def test_ingest_fixture_dir(tmp_path):
     mididir = tmp_path / "mid"
     mididir.mkdir()

@@ -145,6 +145,8 @@ def test_musical_16bar():
 def test_synthetic_config_validation():
     with pytest.raises(ValueError):
         SyntheticConfig(rhythm_grid=(0, 2))
+    with pytest.raises(ValueError, match="rhythm grid must hold at least one duration"):
+        SyntheticConfig(rhythm_grid=())
     with pytest.raises(ValueError):
         SyntheticConfig(step_bias=1.5)
     with pytest.raises(ValueError, match="bars must be 2 or 16, got 3"):

@@ -186,6 +186,37 @@ def test_init_variance_matches_formula():
         assert abs(arr.var() - a * a / 3.0) < 0.1 * a * a / 3.0, name
 
 
+@pytest.mark.parametrize("cfg", [ModelConfig(), ModelConfig(seq_len=256)],
+                         ids=["default", "16bar"])
+def test_params_views_tile_flat_in_name_order(cfg):
+    p = init_params(cfg, 0)
+    assert p.flat.dtype == np.float64 and p.flat.flags.c_contiguous
+    offset = 0
+    for name in vae.PARAM_NAMES:
+        arr = getattr(p, name)
+        assert arr.base is p.flat, name
+        assert arr.__array_interface__["data"][0] == p.flat.ctypes.data + 8 * offset, name
+        offset += arr.size
+    assert offset == p.flat.size
+
+
+@pytest.mark.parametrize("cfg", [ModelConfig(), ModelConfig(seq_len=256)],
+                         ids=["default", "16bar"])
+def test_copy_and_gradients_share_no_memory_with_params(cfg):
+    p = init_params(cfg, 0)
+    q = p.copy()
+    assert not np.shares_memory(q.flat, p.flat)
+    assert np.array_equal(q.flat, p.flat)
+    for name, arr in q.arrays().items():
+        assert arr.base is q.flat, name
+    tokens = random_tokens(np.random.default_rng(0), 2, cfg.seq_len)
+    grads = elbo_loss_and_grads(p, tokens, 0.1, np.random.default_rng(1))[3]
+    assert list(grads) == list(vae.PARAM_NAMES)
+    for name, g in grads.items():
+        assert g.shape == getattr(p, name).shape, name
+        assert not np.shares_memory(g, p.flat), name
+
+
 # ---------------------------------------------------------------- encode
 
 def test_encode_shape_and_purity():
@@ -365,7 +396,7 @@ def test_gradients_with_input_dropout_mask():
     keep = (rng.random(batch.shape) >= 0.4).astype(float)
     eps_noise = np.random.default_rng(7).standard_normal((2, 5))
     _, _, _, state = _loss_forward(p, batch, 0.2, eps_noise, keep)
-    grads = _loss_backward(p, batch, 0.2, eps_noise, state)
+    grads = _loss_backward(p, batch, 0.2, eps_noise, state).arrays()
     step = 1e-3
     for name in ("embed", "dec_wx", "z_w", "w_mu"):
         arr = p.arrays()[name]
@@ -409,7 +440,7 @@ def test_loss_and_grads_equal_batch_major_reference(cfg, n, n_used, masked, seed
     eps = rng.standard_normal((n, cfg.latent_dim))
     keep = (rng.random(tokens.shape) >= 0.3).astype(float) if masked else None
     loss, _, _, state = vae._loss_forward(p, tokens, 0.05, eps, keep, _SHARED_WS)
-    grads = vae._loss_backward(p, tokens, 0.05, eps, state)
+    grads = vae._loss_backward(p, tokens, 0.05, eps, state).arrays()
     ref_loss, ref_grads = reference_loss_and_grads(p, tokens, 0.05, eps, keep)
     assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
     assert grads.keys() == ref_grads.keys()
@@ -472,7 +503,7 @@ def test_adam_step_matches_textbook_update():
     v = {k: np.zeros_like(a) for k, a in q.arrays().items()}
     for t in range(1, 4):
         grads = {k: rng.standard_normal(a.shape) for k, a in q.arrays().items()}
-        opt.step(p, grads)
+        opt.step(p, np.concatenate([g.ravel() for g in grads.values()]))
         for k, g in grads.items():
             m[k] = 0.9 * m[k] + (1.0 - 0.9) * g
             v[k] = 0.999 * v[k] + (1.0 - 0.999) * g * g
@@ -489,7 +520,7 @@ def _train_step(params, opt, ws, batch, rng):
     state = vae._loss_forward(params, batch, 0.005, eps, keep, ws)[3]
     grads = vae._loss_backward(params, batch, 0.005, eps, state)
     vae._clip_grads(grads, 1.0, ws)
-    opt.step(params, grads)
+    opt.step(params, grads.flat)
 
 
 # The largest rise of traced memory that one steady-state step may make.  It
@@ -590,6 +621,30 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
         assert np.array_equal(arr, q.arrays()[name])
 
 
+def test_checkpoint_resave_is_byte_identical(tmp_path):
+    path = tmp_path / "model.npz"
+    save_checkpoint(with_random_biases(init_params(SMALL, 9), np.random.default_rng(9)), path)
+    again = tmp_path / "again.npz"
+    save_checkpoint(load_checkpoint(path), again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def saved_members(path):
+    save_checkpoint(init_params(SMALL, 9), path)
+    with np.load(path) as data:
+        return dict(data)
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.int64, np.bool_])
+def test_checkpoint_member_not_float64_rejected(tmp_path, dtype):
+    path = tmp_path / "model.npz"
+    arrays = saved_members(path)
+    arrays["param_w_mu"] = arrays["param_w_mu"].astype(dtype)
+    np.savez(path, **arrays)
+    with pytest.raises(CheckpointError, match=f"param_w_mu holds {np.dtype(dtype)}, not float64"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_corrupt_rejected(tmp_path):
     path = tmp_path / "bad.npz"
     path.write_bytes(b"not a checkpoint at all")
@@ -616,6 +671,18 @@ def test_checkpoint_config_mismatch(tmp_path):
     arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
     np.savez(path, **arrays)
     with pytest.raises(CheckpointError, match="w_mu has shape"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_config_too_large_to_allocate(tmp_path):
+    # weights are allocated from the stored config before they are read
+    path = tmp_path / "model.npz"
+    arrays = saved_members(path)
+    meta = json.loads(bytes(arrays["meta"]))
+    meta["config"]["embed_dim"] = 10**11  # ~700 TB of weights
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez(path, **arrays)
+    with pytest.raises(CheckpointError, match="unreadable checkpoint"):
         load_checkpoint(path)
 
 
