@@ -44,6 +44,7 @@ from .vae import (
     ShapeError,
     TrainConfig,
     TrainingDiverged,
+    TrainState,
     decode,
     elbo_loss,
     elbo_loss_and_grads,

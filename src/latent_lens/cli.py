@@ -13,6 +13,7 @@ import dataclasses
 import io
 import json
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -84,6 +85,10 @@ def _ingest_args(p: argparse.ArgumentParser) -> None:
                    help="do not require a 4/4 time signature event")
 
 
+def integer_list(text: str) -> tuple[int, ...]:  # named for argparse's messages
+    return tuple(int(v) for v in text.split(",") if v)
+
+
 def _gen_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kind", choices=("random", "musical"), required=True)
     p.add_argument("--n", type=int, required=True)
@@ -100,7 +105,7 @@ def _gen_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--duration-s-max", type=int, default=randoms.duration_s_max)
     p.add_argument("--key-root", type=int, default=musical.key_root)
     p.add_argument("--step-bias", type=float, default=musical.step_bias)
-    p.add_argument("--rhythm-grid", default=",".join(map(str, musical.rhythm_grid)),
+    p.add_argument("--rhythm-grid", type=integer_list, default=musical.rhythm_grid,
                    help="comma-separated step durations (musical corpus)")
 
 
@@ -258,13 +263,16 @@ def cmd_gen(args) -> int:
     watch = report.Stopwatch()
     if args.n < 1:
         raise CliInputError("--n must be >= 1")
+    kinds = {"random": corpus.RandomSeqConfig, "musical": corpus.SyntheticConfig}
+    used = {f.name for f in dataclasses.fields(kinds[args.kind])} | {"seed"}  # seeds both
+    for f in [f for cls in kinds.values() for f in dataclasses.fields(cls) if f.name not in used]:
+        if getattr(args, f.name) != f.default:
+            raise CliInputError(f"--{f.name.replace('_', '-')} does not apply to --kind {args.kind}")
     try:
+        cfg = _config(kinds[args.kind], args)
         if args.kind == "random":
-            cfg = _config(corpus.RandomSeqConfig, args)
             melodies = corpus.gen_random_corpus(cfg, args.n, args.seed)
         else:
-            grid = tuple(int(v) for v in str(args.rhythm_grid).split(",") if v)
-            cfg = _config(corpus.SyntheticConfig, args, rhythm_grid=grid)
             melodies = corpus.gen_musical_corpus(cfg, args.n)
     except ValueError as err:
         raise CliInputError(str(err))
@@ -279,19 +287,13 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _history_offset_csv(prior_rows: list[str], history, offset: int) -> str:
-    lines = ["epoch,loss,recon_ce,kl"] + prior_rows
-    for row in history:
-        lines.append(
-            f"{row.epoch + offset},{row.loss:.10g},{row.recon_ce:.10g},{row.kl:.10g}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def cmd_train(args) -> int:
     watch = report.Stopwatch()
     manifest = report.RunManifest("train", vars(args))
-    params = _load_checkpoint(args.resume, manifest) if args.resume else None
+    manifest.environment = {name: os.environ.get(name)
+                            for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    params, state = (_load_checkpoint(args.resume, manifest, with_state=True)
+                     if args.resume else (None, None))
     entries = _load_corpus_file(args.corpus, manifest)
     seq_len = len(entries[0][0]) if params is None else params.config.seq_len
     kept, skipped = _keep_model_length(entries, seq_len, args.corpus)
@@ -299,28 +301,25 @@ def cmd_train(args) -> int:
     tcfg = _config(vae.TrainConfig, args)
     if params is None:
         params = vae.init_params(_config(vae.ModelConfig, args, seq_len=seq_len), args.seed)
+        state = vae.TrainState.fresh(params)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    prior_rows: list[str] = []
-    offset = 0
     history_path = out_dir / "history.csv"
-    if args.resume and history_path.exists():
-        prior_rows = history_path.read_text().strip().splitlines()[1:]
-        if prior_rows:
-            offset = int(prior_rows[-1].split(",")[0]) + 1
+    history_text = (history_path.read_text() if args.resume and history_path.exists()
+                    else "epoch,loss,recon_ce,kl\n")  # a resumed run adds to the rows there
     ckpt_path = out_dir / "checkpoint.npz"
     try:
-        params, history = vae.train(params, [seq for seq, _ in kept], tcfg)
+        params, history = vae.train(params, [seq for seq, _ in kept], tcfg, state)
     except vae.TrainingDiverged as err:
-        params, history = err.params, err.history
+        params, state, history = err.params, err.state, err.history
         manifest.error = f"training diverged: {err}"
     watch.lap("train")
 
-    vae.save_checkpoint(params, ckpt_path)
-    report.write_text_atomic(
-        history_path, _history_offset_csv(prior_rows, history, offset)
-    )
+    vae.save_checkpoint(params, ckpt_path, state)
+    for row in history:
+        history_text += f"{row.epoch},{row.loss:.10g},{row.recon_ce:.10g},{row.kl:.10g}\n"
+    report.write_text_atomic(history_path, history_text)
     watch.lap("write")
     manifest.add_output(str(ckpt_path))
     manifest.add_output(str(history_path))
@@ -334,16 +333,16 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_checkpoint(path: str, manifest: report.RunManifest) -> vae.Params:
-    """Load a checkpoint from one read of its file, and record the SHA-256 of
-    the bytes loaded as an input of ``manifest``."""
+def _load_checkpoint(path: str, manifest: report.RunManifest, with_state: bool = False):
+    """``vae.load_checkpoint`` from one read of the file, recording the
+    SHA-256 of the bytes loaded as an input of ``manifest``."""
     try:
         data = Path(path).read_bytes()
     except OSError as err:
         raise CliInputError(f"unreadable checkpoint: {err}")
     manifest.add_input(path, data)
     try:
-        return vae.load_checkpoint(io.BytesIO(data))
+        return vae.load_checkpoint(io.BytesIO(data), with_state)
     except vae.CheckpointError as err:
         raise CliInputError(str(err))
 

@@ -4,8 +4,9 @@ the tool version, the config snapshot, content hashes of its inputs, the
 output file list, wall-clock timings, the process's peak resident memory,
 counts of what the run left out (``ingest``: files unreadable, unparseable
 or with an invalid melody; ``analyze``: skipped sequences, degenerate feature
-values, NaN phik cells) and, for a run that failed, why, so results
-can be regenerated."""
+values, NaN phik cells), the environment variables its results depend on
+(``train``: the BLAS thread counts) and, for a run that failed, why, so
+results can be regenerated."""
 
 from __future__ import annotations
 
@@ -71,6 +72,7 @@ class RunManifest:
     timings_s: dict = field(default_factory=dict)
     error: str | None = None  # why the command failed, if it did
     dropped: dict = field(default_factory=dict)  # counts of what a run left out
+    environment: dict = field(default_factory=dict)  # variables the results depend on
 
     def add_input(self, path: str | Path, data: bytes | None = None) -> None:
         """Record the SHA-256 of an input: of ``data``, the bytes the command
@@ -96,6 +98,8 @@ class RunManifest:
             payload["error"] = self.error
         if self.dropped:
             payload["dropped"] = self.dropped
+        if self.environment:
+            payload["environment"] = self.environment
         write_text_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 

@@ -30,6 +30,8 @@ input from a table over the whole vocabulary.
 The weights are one float64 vector, ``Params.flat``, with a named view per
 parameter.  Gradients and Adam's moments are vectors of the same layout, so
 clipping scales a gradient in one operation and Adam updates in one pass.
+They live in a ``TrainState`` with the run's counts and generator state, so a
+checkpoint saved with it continues the run as if it had never stopped.
 The training pass writes the gradient, the token tables and their summed
 gradients, and the large (T, B, .) arrays that backprop reads (scan states
 and gates, logits and the backward scans' gate gradients), into a
@@ -51,6 +53,7 @@ buffers once per call.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import zipfile
@@ -78,11 +81,12 @@ class CheckpointError(ValueError):
 
 
 class TrainingDiverged(RuntimeError):
-    """Training hit a non-finite loss; carries the last good state."""
+    """Training hit a non-finite loss; carries the last completed epoch's state."""
 
-    def __init__(self, message: str, params: "Params", history: list):
+    def __init__(self, message: str, params: "Params", state: "TrainState", history: list):
         super().__init__(message)
         self.params = params
+        self.state = state
         self.history = history
 
 
@@ -600,24 +604,36 @@ def _clip_grads(grads: Params, max_norm: float, ws: _Workspace) -> None:
         grads.flat *= max_norm / norm
 
 
-class _Adam:
-    """Adam with bias correction; its moments are laid out like ``Params.flat``."""
+@dataclass(eq=False)
+class TrainState:
+    """Where a run stands: Adam's moments, laid out like ``Params.flat``; the
+    steps taken, which set both Adam's bias correction and the beta ramp; the
+    epochs done; and the bit generator's state after the last (None before)."""
+
+    m: np.ndarray
+    v: np.ndarray
+    steps: int
+    epochs: int
+    rng: dict | None
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, params: Params, lr: float):
-        self.lr = lr
-        self.t = 0
-        self.m = np.zeros_like(params.flat)
-        self.v = np.zeros_like(params.flat)
-        self._tmp = np.empty_like(params.flat)
+    def __post_init__(self) -> None:
+        if not all(type(count) is int and count >= 0 for count in (self.steps, self.epochs)):
+            raise ValueError("training state counts must be integers >= 0")
+        if self.rng is not None:
+            np.random.PCG64().state = self.rng  # rejects a malformed generator state
 
-    def step(self, params: Params, grad: np.ndarray) -> None:
-        """Update ``params`` from the flat ``grad``, which ends holding the update."""
-        self.t += 1
-        b1c = 1.0 - self.beta1**self.t
-        b2c = 1.0 - self.beta2**self.t
-        m, v, tmp = self.m, self.v, self._tmp
+    @classmethod
+    def fresh(cls, p: Params) -> "TrainState":
+        return cls(np.zeros_like(p.flat), np.zeros_like(p.flat), 0, 0, None)
+
+    def adam_step(self, params: Params, grad: np.ndarray, lr: float, ws: _Workspace) -> None:
+        """Count a step; update ``params`` from the flat ``grad``, which ends holding the update."""
+        self.steps += 1
+        b1c = 1.0 - self.beta1**self.steps
+        b2c = 1.0 - self.beta2**self.steps
+        m, v, tmp = self.m, self.v, ws.get("adam", grad.shape)
         m *= self.beta1
         m += np.multiply(1.0 - self.beta1, grad, out=tmp)
         v *= self.beta2
@@ -629,12 +645,14 @@ class _Adam:
         tmp += self.eps
         update = np.divide(m, b1c, out=grad)
         update /= tmp  # (m / b1c) / (sqrt(v / b2c) + eps)
-        update *= self.lr
+        update *= lr
         params.flat -= update
 
 
-def train(p: Params, corpus, cfg: TrainConfig) -> tuple[Params, list[EpochStats]]:
-    """Adam + gradient clipping with a linear KL-weight ramp.
+def train(p: Params, corpus, cfg: TrainConfig, state: TrainState | None = None
+          ) -> tuple[Params, list[EpochStats]]:
+    """Adam + gradient clipping with a linear KL-weight ramp, for ``cfg.epochs``
+    epochs on from ``state`` (fresh when None), which advances in place.
 
     beta rises linearly from 0 to ``cfg.beta_max`` over
     ``cfg.beta_anneal_steps`` optimizer steps.  Because the reconstruction
@@ -647,10 +665,13 @@ def train(p: Params, corpus, cfg: TrainConfig) -> tuple[Params, list[EpochStats]
 
     Per epoch the history records mean loss / reconstruction / KL over
     training batches and the per-dim median posterior sigma on a held-out
-    slice of the corpus.  Deterministic for a fixed seed and a fixed BLAS
-    thread count: the ``out_w`` gradient's sum over every position rounds
+    slice of the corpus (drawn from ``cfg.seed``), numbered on from
+    ``state.epochs``.  E1 epochs and then E2 more from the weights and state
+    reached equal E1 + E2 straight through, for the same corpus and ``cfg``
+    but ``epochs``.  Deterministic for a fixed seed and a fixed BLAS thread
+    count: the ``out_w`` gradient's sum over every position rounds
     differently when BLAS splits it across threads.  On divergence raises
-    :class:`TrainingDiverged` carrying the parameters from the last
+    :class:`TrainingDiverged` carrying the weights and state from the last
     completed epoch.
     """
     tokens = _stack_batch(corpus, p.config.seq_len)
@@ -664,32 +685,30 @@ def train(p: Params, corpus, cfg: TrainConfig) -> tuple[Params, list[EpochStats]
     train_tokens = tokens[perm[n_hold:]]
 
     params = p.copy()
-    opt = _Adam(params, cfg.lr)
+    state = TrainState.fresh(params) if state is None else state
+    if state.rng is not None:
+        rng.bit_generator.state = state.rng
     ws = _Workspace()
     history: list[EpochStats] = []
-    last_good = params.copy()
-    step = 0
-    for epoch in range(cfg.epochs):
+    last_good = params.copy(), copy.deepcopy(state)
+    for epoch in range(state.epochs, state.epochs + cfg.epochs):
         order = rng.permutation(train_tokens.shape[0])
         losses, recons, kls = [], [], []
         for lo in range(0, order.size, cfg.batch):
             batch = train_tokens[order[lo : lo + cfg.batch]]
-            ramp = cfg.beta_max * min(1.0, step / cfg.beta_anneal_steps)
+            ramp = cfg.beta_max * min(1.0, state.steps / cfg.beta_anneal_steps)
             beta = ramp / params.config.seq_len
             eps = rng.standard_normal((batch.shape[0], params.config.latent_dim))
             keep = None
             if cfg.input_dropout > 0.0:
                 keep = rng.random(batch.shape) >= cfg.input_dropout
             try:
-                loss, recon, kl, state = _loss_forward(params, batch, beta, eps, keep, ws)
+                loss, recon, kl, cache = _loss_forward(params, batch, beta, eps, keep, ws)
             except NumericalError as err:
-                raise TrainingDiverged(
-                    f"epoch {epoch}: {err}", last_good, history
-                ) from err
-            grads = _loss_backward(params, batch, beta, eps, state)
+                raise TrainingDiverged(f"epoch {epoch}: {err}", *last_good, history) from err
+            grads = _loss_backward(params, batch, beta, eps, cache)
             _clip_grads(grads, cfg.grad_clip_norm, ws)
-            opt.step(params, grads.flat)
-            step += 1
+            state.adam_step(params, grads.flat, cfg.lr, ws)
             losses.append(loss)
             recons.append(recon)
             kls.append(kl)
@@ -703,51 +722,68 @@ def train(p: Params, corpus, cfg: TrainConfig) -> tuple[Params, list[EpochStats]
                 sigma_median=np.median(hold_sigma, axis=0),
             )
         )
-        last_good = params.copy()
+        state.epochs, state.rng = epoch + 1, rng.bit_generator.state
+        del last_good  # so that only one copy is held at a time
+        last_good = params.copy(), copy.deepcopy(state)
     return params, history
 
 
-def save_checkpoint(p: Params, path) -> None:
-    """Versioned container: JSON metadata plus the raw float64 weight arrays."""
+def save_checkpoint(p: Params, path, state: TrainState | None = None) -> None:
+    """Versioned container: JSON metadata plus the raw float64 weight arrays;
+    given a training state, also its moments as members ``adam_m`` and
+    ``adam_v`` and the rest under the metadata's "train" key."""
     p.validate()
-    meta = json.dumps(
-        {
-            "magic": CHECKPOINT_MAGIC,
-            "version": CHECKPOINT_VERSION,
-            "cell": CELL_TYPE,
-            "config": asdict(p.config),
-        }
-    )
+    meta = {
+        "magic": CHECKPOINT_MAGIC,
+        "version": CHECKPOINT_VERSION,
+        "cell": CELL_TYPE,
+        "config": asdict(p.config),
+    }
     arrays = {f"param_{k}": v for k, v in p.arrays().items()}
-    arrays["meta"] = np.frombuffer(meta.encode("utf-8"), dtype=np.uint8).copy()
+    if state is not None:
+        meta["train"] = {"steps": state.steps, "epochs": state.epochs, "rng": state.rng}
+        arrays.update(adam_m=state.m, adam_v=state.v)
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8).copy()
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
 
 
-def load_checkpoint(path) -> Params:
-    """Load a checkpoint and check its weights against its config."""
+def load_checkpoint(path, with_state: bool = False):
+    """Load a checkpoint and check its weights against its config.
+
+    Returns the Params, or with ``with_state`` (Params, TrainState) from a
+    checkpoint saved with a state, whose members and key others ignore."""
     try:
         with np.load(path, allow_pickle=False) as data:
             if "meta" not in data:
                 raise CheckpointError("missing checkpoint metadata")
             meta = json.loads(bytes(data["meta"]).decode("utf-8"))
+            if not isinstance(meta, dict):
+                raise CheckpointError("checkpoint metadata is not a JSON object")
             if meta.get("magic") != CHECKPOINT_MAGIC:
                 raise CheckpointError("bad checkpoint magic")
             if meta.get("version") != CHECKPOINT_VERSION:
                 raise CheckpointError(f"unsupported version {meta.get('version')}")
             params = Params(ModelConfig(**meta["config"]))
-            for name, view in params.arrays().items():
-                arr = data[f"param_{name}"]
-                if arr.shape != view.shape:  # the stored config does not describe the weights
-                    raise CheckpointError("weights do not match the stored config: "
+            members = {f"param_{name}": view for name, view in params.arrays().items()}
+            if with_state:
+                if "train" not in meta:
+                    raise CheckpointError("checkpoint holds no training state to resume from")
+                state = TrainState(np.empty_like(params.flat), np.empty_like(params.flat),
+                                   **meta["train"])
+                members.update(adam_m=state.m, adam_v=state.v)
+            for name, view in members.items():
+                arr = data[name]
+                if arr.shape != view.shape:  # the stored config does not describe the member
+                    raise CheckpointError("checkpoint does not match its stored config: "
                                           f"{name} has shape {arr.shape}, expected {view.shape}")
                 if arr.dtype != np.float64:
-                    raise CheckpointError(f"param_{name} holds {arr.dtype}, not float64")
+                    raise CheckpointError(f"{name} holds {arr.dtype}, not float64")
                 view[...] = arr
     except CheckpointError:
         raise
-    except (OSError, EOFError, ValueError, KeyError, MemoryError, json.JSONDecodeError,
-            zipfile.BadZipFile) as err:
+    except (OSError, EOFError, ValueError, TypeError, KeyError, MemoryError,
+            json.JSONDecodeError, zipfile.BadZipFile) as err:
         raise CheckpointError(f"unreadable checkpoint: {err}") from err
     params.validate()
-    return params
+    return (params, state) if with_state else params

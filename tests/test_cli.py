@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import os
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -15,6 +16,7 @@ from latent_lens.melody import load_corpus
 from oracles import reference_features
 from test_melody import MALFORMED_LINES
 from test_midi import scale_file
+from test_vae import BAD_METADATA, bad_metadata_checkpoint
 
 
 def run(*argv) -> int:
@@ -67,6 +69,41 @@ def test_gen_empty_rhythm_grid_is_input_error(tmp_path, caplog):
                "--out", str(out)) == 1
     assert caplog.messages[-1] == "rhythm grid must hold at least one duration"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, flag, value", [
+    ("random", "--rhythm-grid", "1,2"),
+    ("random", "--key-root", "3"),
+    ("random", "--step-bias", "0.5"),
+    ("musical", "--pitch-min", "200"),
+    ("musical", "--n-notes-max", "20"),
+    ("musical", "--duration-s-min", "2"),
+])
+def test_gen_rejects_the_other_kinds_flags(tmp_path, caplog, kind, flag, value):
+    """A flag that feeds only the other kind's config, set away from its
+    default on the command line or in a config file, is an input error."""
+    out = tmp_path / "x.jsonl"
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text(f"{flag[2:]}={value}\n")
+    for argv in ([flag, value], ["--config", str(cfg)]):
+        caplog.clear()
+        assert run("gen", "--kind", kind, "--n", "5", *argv, "--out", str(out)) == 1, argv
+        assert caplog.messages == [f"{flag} does not apply to --kind {kind}"], argv
+        assert not out.exists(), argv
+
+
+def test_gen_checks_the_rhythm_grid_of_either_kind(tmp_path, caplog):
+    out = tmp_path / "x.jsonl"
+    assert run("gen", "--kind", "random", "--n", "5", "--rhythm-grid", "banana",
+               "--out", str(out)) == 1
+    assert caplog.messages[-1].startswith("argument --rhythm-grid: invalid")
+    assert not out.exists()
+    # set at their defaults, the musical flags leave a random corpus as it was
+    plain = tmp_path / "plain.jsonl"
+    assert run("gen", "--kind", "random", "--n", "5", "--out", str(plain)) == 0
+    assert run("gen", "--kind", "random", "--n", "5", "--rhythm-grid", "1,2,2,4,4,8",
+               "--key-root", "0", "--out", str(out)) == 0
+    assert out.read_bytes() == plain.read_bytes()
 
 
 def test_ingest_fixture_dir(tmp_path):
@@ -155,6 +192,8 @@ def test_train_outputs(tiny_run):
     manifest = json.loads((train_dir / "manifest.json").read_text())
     assert manifest["command"] == "train"
     assert "error" not in manifest
+    assert manifest["environment"] == {  # exact reruns need the same BLAS thread count
+        name: os.environ.get(name) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     params = vae.load_checkpoint(train_dir / "checkpoint.npz")
     assert params.config.latent_dim == 8
 
@@ -202,6 +241,108 @@ def test_train_resume_continues_epochs(tiny_run, tmp_path):
                "--epochs", "1", "--batch", "32", "--seed", "1") == 0
     rows = (resume_dir / "history.csv").read_text().strip().splitlines()
     assert [r.split(",")[0] for r in rows[1:]] == ["0", "1", "2"]
+
+
+TINY_TRAIN = ["--embed-dim", "12", "--hidden-dim", "16", "--latent-dim", "8", "--batch", "32",
+              "--beta-anneal-steps", "6"]  # 4 steps an epoch: the ramp ends in epoch 2
+
+
+def test_train_then_resume_equals_one_run(tiny_run, tmp_path):
+    """One epoch, then two more with --resume into the same directory, write
+    the checkpoint and history of three epochs in one run."""
+    _, corpus_path, _, _, _ = tiny_run
+    straight, split = tmp_path / "straight", tmp_path / "split"
+    train = ["train", "--corpus", str(corpus_path), *TINY_TRAIN, "--out-dir"]
+    assert run(*train, str(straight), "--epochs", "3") == 0
+    assert run(*train, str(split), "--epochs", "1") == 0
+    assert run(*train, str(split), "--epochs", "2", "--resume", str(split / "checkpoint.npz")) == 0
+    for name in ("checkpoint.npz", "history.csv"):
+        assert (split / name).read_bytes() == (straight / name).read_bytes(), name
+
+
+def test_diverged_run_resumes_at_a_lower_lr(tiny_run, tmp_path):
+    """A run that diverges keeps the last completed epoch's weights and
+    state, so a rerun at a lower --lr continues it as if it never failed."""
+    _, corpus_path, _, _, _ = tiny_run
+    straight, split = tmp_path / "straight", tmp_path / "split"
+    train = ["train", "--corpus", str(corpus_path), *TINY_TRAIN, "--out-dir"]
+    ckpt = split / "checkpoint.npz"
+    assert run(*train, str(straight), "--epochs", "3") == 0
+    assert run(*train, str(split), "--epochs", "1") == 0
+    one_epoch = ckpt.read_bytes()
+    assert run(*train, str(split), "--epochs", "2", "--lr", "1e3", "--resume", str(ckpt)) == 2
+    manifest = json.loads((split / "manifest.json").read_text())
+    assert manifest["error"].startswith("training diverged: epoch 1: non-finite loss")
+    assert ckpt.read_bytes() == one_epoch
+    assert run(*train, str(split), "--epochs", "2", "--resume", str(ckpt)) == 0
+    for name in ("checkpoint.npz", "history.csv"):
+        assert (split / name).read_bytes() == (straight / name).read_bytes(), name
+
+
+def test_resume_needs_a_training_state(tiny_run, tmp_path, caplog):
+    _, corpus_path, _, train_dir, _ = tiny_run
+    stateless = tmp_path / "stateless.npz"
+    vae.save_checkpoint(vae.load_checkpoint(train_dir / "checkpoint.npz"), stateless)
+    out = tmp_path / "out"
+    assert run("train", "--corpus", str(corpus_path), "--resume", str(stateless),
+               "--out-dir", str(out)) == 1
+    assert caplog.messages[-1] == "checkpoint holds no training state to resume from"
+    assert not out.exists()
+
+
+def test_training_state_changes_no_analyze_or_roundtrip_output(tiny_run, tmp_path):
+    """analyze and roundtrip write the same files from the same weights with
+    the training state as without it; only the checkpoint's hash differs."""
+    _, corpus_path, rand_path, train_dir, out_dir = tiny_run
+    stateful = train_dir / "checkpoint.npz"
+    stateless = tmp_path / "stateless.npz"
+    vae.save_checkpoint(vae.load_checkpoint(stateful), stateless)
+    one = tmp_path / "one.jsonl"
+    one.write_text(corpus_path.read_text().splitlines()[0] + "\n")
+    for ckpt, name in ((stateful, "with"), (stateless, "without")):
+        assert run("analyze", "--checkpoint", str(ckpt), "--corpus", str(corpus_path),
+                   "--random-corpus", str(rand_path), "--phik-bins", "4",
+                   "--out-dir", str(tmp_path / f"report_{name}")) == 0
+        assert run("roundtrip", "--checkpoint", str(ckpt), "--melody", str(one), "-k", "2",
+                   "--out-dir", str(tmp_path / f"rt_{name}")) == 0
+
+    def outputs(directory):
+        files = {p.name: p.read_bytes() for p in directory.iterdir() if p.name != "manifest.json"}
+        if "partition.json" in files:  # which names the checkpoint by its hash
+            files["partition.json"] = {**json.loads(files["partition.json"]),
+                                       "checkpoint_sha256": None}
+        return files
+
+    for kind in ("report", "rt"):
+        assert outputs(tmp_path / f"{kind}_with") == outputs(tmp_path / f"{kind}_without"), kind
+
+
+@pytest.mark.parametrize("fault", BAD_METADATA)
+@pytest.mark.parametrize("command", ["analyze", "roundtrip", "train"])
+def test_bad_checkpoint_metadata_is_input_error(tiny_run, tmp_path, caplog, command, fault):
+    """Bad checkpoint metadata exits 1 and leaves no output directory; a bad
+    training state is an error only for train --resume, which reads it."""
+    _, corpus_path, _, _, _ = tiny_run
+    ckpt = tmp_path / "bad.npz"
+    bad_metadata_checkpoint(ckpt, fault)
+    one = tmp_path / "one.jsonl"
+    one.write_text(corpus_path.read_text().splitlines()[0] + "\n")
+    argv = {
+        "analyze": ["analyze", "--checkpoint", str(ckpt), "--corpus", str(corpus_path),
+                    "--phik-bins", "4"],
+        "roundtrip": ["roundtrip", "--checkpoint", str(ckpt), "--melody", str(one)],
+        "train": ["train", "--corpus", str(corpus_path), "--resume", str(ckpt),
+                  "--epochs", "1"],
+    }[command]
+    out = tmp_path / "out"
+    state_only = BAD_METADATA[fault][1]
+    if state_only and command != "train":
+        assert run(*argv, "--out-dir", str(out)) == 0
+        return
+    assert run(*argv, "--out-dir", str(out)) == 1
+    assert caplog.messages[-1].startswith(("unreadable checkpoint: ", "checkpoint metadata",
+                                           "training state counts")), caplog.messages[-1]
+    assert not out.exists()
 
 
 def test_train_counts_sequences_of_another_length(tiny_run, tmp_path):
@@ -693,10 +834,8 @@ def test_flag_defaults_are_the_config_defaults():
     gen = parse("gen", "--kind", "random", "--n", "1", "--out", "out.jsonl")
     for name, value in defaults(RandomSeqConfig).items():
         assert gen[name] == value, name
-    musical = defaults(SyntheticConfig)
-    for name in ("key_root", "step_bias", "bars", "seed"):
-        assert gen[name] == musical[name], name
-    assert gen["rhythm_grid"] == ",".join(map(str, musical["rhythm_grid"]))
+    for name, value in defaults(SyntheticConfig).items():
+        assert gen[name] == value, name
 
     train = parse("train", "--corpus", "corpus.jsonl", "--out-dir", "out")
     model = defaults(vae.ModelConfig)
@@ -752,7 +891,7 @@ def test_flags_reach_their_configs(tmp_path, monkeypatch):
 
     (random_cfg, *_), = calls["gen_random_corpus"]
     (musical_cfg, _), = calls["gen_musical_corpus"]
-    (params, _, train_cfg), = calls["train"]
+    (params, _, train_cfg, _), = calls["train"]
     (_, extraction_cfg), = calls["extract_melodies"]
     built = [  # (config, every field a flag feeds, with its value above)
         (random_cfg, dict(n_notes_min=3, n_notes_max=20, pitch_min=40, pitch_max=90,

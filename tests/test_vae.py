@@ -498,12 +498,12 @@ def test_adam_step_matches_textbook_update():
     p = with_random_biases(init_params(SMALL, 8), np.random.default_rng(8))
     q = p.copy()
     rng = np.random.default_rng(9)
-    opt = vae._Adam(p, 1e-3)
+    state, ws = vae.TrainState.fresh(p), vae._Workspace()
     m = {k: np.zeros_like(v) for k, v in q.arrays().items()}
     v = {k: np.zeros_like(a) for k, a in q.arrays().items()}
     for t in range(1, 4):
         grads = {k: rng.standard_normal(a.shape) for k, a in q.arrays().items()}
-        opt.step(p, np.concatenate([g.ravel() for g in grads.values()]))
+        state.adam_step(p, np.concatenate([g.ravel() for g in grads.values()]), 1e-3, ws)
         for k, g in grads.items():
             m[k] = 0.9 * m[k] + (1.0 - 0.9) * g
             v[k] = 0.999 * v[k] + (1.0 - 0.999) * g * g
@@ -513,14 +513,14 @@ def test_adam_step_matches_textbook_update():
         assert np.array_equal(a, q.arrays()[k]), k
 
 
-def _train_step(params, opt, ws, batch, rng):
+def _train_step(params, state, ws, batch, rng):
     """One step of ``train``'s inner loop."""
     eps = rng.standard_normal((batch.shape[0], params.config.latent_dim))
     keep = rng.random(batch.shape) >= 0.3
-    state = vae._loss_forward(params, batch, 0.005, eps, keep, ws)[3]
-    grads = vae._loss_backward(params, batch, 0.005, eps, state)
+    cache = vae._loss_forward(params, batch, 0.005, eps, keep, ws)[3]
+    grads = vae._loss_backward(params, batch, 0.005, eps, cache)
     vae._clip_grads(grads, 1.0, ws)
-    opt.step(params, grads.flat)
+    state.adam_step(params, grads.flat, 1e-3, ws)
 
 
 # The largest rise of traced memory that one steady-state step may make.  It
@@ -538,12 +538,12 @@ def test_steady_state_step_allocates_no_large_block():
     readings raises the peak of that interval by at least its size, less
     what the interval freed before it."""
     params = init_params(ModelConfig(), 0)
-    opt = vae._Adam(params, 1e-3)
+    state = vae.TrainState.fresh(params)
     ws = vae._Workspace()
     rng = np.random.default_rng(0)
     batches = [random_tokens(rng, 32) for _ in range(3)]
     for batch in batches[:2]:
-        _train_step(params, opt, ws, batch, rng)
+        _train_step(params, state, ws, batch, rng)
 
     largest = 0
     level = 0
@@ -562,12 +562,12 @@ def test_steady_state_step_allocates_no_large_block():
         outer = sys.gettrace()
         sys.settrace(watch)
         try:
-            _train_step(params, opt, ws, batches[2], np.random.default_rng(1))
+            _train_step(params, state, ws, batches[2], np.random.default_rng(1))
         finally:
             sys.settrace(outer)
         start = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        _train_step(params, opt, ws, batches[0], np.random.default_rng(2))
+        _train_step(params, state, ws, batches[0], np.random.default_rng(2))
         step_peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -588,12 +588,12 @@ def test_16bar_step_memory_follows_the_batch():
     STEP_16BAR_PEAK_BOUND: the scans keep no whole-sequence copy of their
     inputs or of the decoder's output gradients."""
     params = init_params(ModelConfig(seq_len=256), 0)
-    opt = vae._Adam(params, 1e-3)
+    state = vae.TrainState.fresh(params)
     batch = random_tokens(np.random.default_rng(0), 32, seq_len=256)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        _train_step(params, opt, vae._Workspace(), batch, np.random.default_rng(1))
+        _train_step(params, state, vae._Workspace(), batch, np.random.default_rng(1))
         step_peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -607,6 +607,63 @@ def test_training_does_not_mutate_input_params():
     train(p0, seqs, TrainConfig(epochs=1, batch=16, seed=0))
     for name, arr in p0.arrays().items():
         assert np.array_equal(arr, before[name])
+
+
+@settings(max_examples=12, deadline=None)
+@given(first=st.integers(1, 3), more=st.integers(1, 3), dropout=st.sampled_from([0.0, 0.3]),
+       anneal=st.integers(1, 30))
+def test_resumed_training_equals_training_straight_through(tmp_path_factory, first, more,
+                                                           dropout, anneal):
+    """E1 epochs, a checkpoint with the state, and E2 more give the weights
+    and history rows of E1 + E2 epochs in one call.  A run takes 3 steps an
+    epoch, so the beta ramp ends inside some runs and after others."""
+    seqs = tiny_corpus(40)
+    cfg = dict(batch=16, seed=5, beta_anneal_steps=anneal, input_dropout=dropout)
+    p0 = init_params(SMALL, 6)
+    straight, rows = train(p0, seqs, TrainConfig(epochs=first + more, **cfg))
+    state = vae.TrainState.fresh(p0)
+    part, head = train(p0, seqs, TrainConfig(epochs=first, **cfg), state)
+    path = tmp_path_factory.mktemp("resume") / "model.npz"
+    save_checkpoint(part, path, state)
+    params, state = load_checkpoint(path, with_state=True)
+    resumed, tail = train(params, seqs, TrainConfig(epochs=more, **cfg), state)
+    assert np.array_equal(resumed.flat, straight.flat)
+    assert (state.steps, state.epochs) == (3 * (first + more), first + more)
+    for got, want in zip(head + tail, rows, strict=True):
+        assert (got.epoch, got.loss, got.recon_ce, got.kl) == (
+            want.epoch, want.loss, want.recon_ce, want.kl)
+        assert np.array_equal(got.sigma_median, want.sigma_median)
+
+
+def test_divergence_carries_the_last_completed_epoch(monkeypatch):
+    """A run that fails in its third epoch hands back the weights and state
+    of a two-epoch run, and continuing from them retraces the third epoch."""
+    seqs = tiny_corpus(40)
+    cfg = TrainConfig(epochs=3, batch=16, seed=2)
+    p0 = init_params(SMALL, 3)
+    two_state = vae.TrainState.fresh(p0)
+    two, _ = train(p0, seqs, TrainConfig(epochs=2, batch=16, seed=2), two_state)
+    three, _ = train(p0, seqs, cfg)
+    loss_forward, calls = vae._loss_forward, []
+
+    def failing_in_epoch_3(*args):
+        calls.append(None)
+        if len(calls) == 8:  # the second step of the third epoch
+            raise vae.NumericalError("non-finite loss (first bad batch index 0)")
+        return loss_forward(*args)
+
+    monkeypatch.setattr(vae, "_loss_forward", failing_in_epoch_3)
+    with pytest.raises(vae.TrainingDiverged, match="^epoch 2: non-finite loss") as caught:
+        train(p0, seqs, cfg)
+    monkeypatch.undo()
+    err = caught.value
+    assert [row.epoch for row in err.history] == [0, 1]
+    assert np.array_equal(err.params.flat, two.flat)
+    assert (err.state.steps, err.state.epochs, err.state.rng) == (
+        two_state.steps, two_state.epochs, two_state.rng)
+    assert np.array_equal(err.state.m, two_state.m) and np.array_equal(err.state.v, two_state.v)
+    again, _ = train(err.params, seqs, TrainConfig(epochs=1, batch=16, seed=2), err.state)
+    assert np.array_equal(again.flat, three.flat)
 
 
 # ---------------------------------------------------------------- checkpoints
@@ -627,6 +684,99 @@ def test_checkpoint_resave_is_byte_identical(tmp_path):
     again = tmp_path / "again.npz"
     save_checkpoint(load_checkpoint(path), again)
     assert again.read_bytes() == path.read_bytes()
+
+
+def test_checkpoint_with_state_keeps_the_weights_and_adds_members(tmp_path):
+    """A checkpoint saved with a training state holds the same weights and
+    metadata plus the state; one saved without it cannot be resumed."""
+    p = with_random_biases(init_params(SMALL, 9), np.random.default_rng(9))
+    state = vae.TrainState.fresh(p)
+    train(p, tiny_corpus(40), TrainConfig(epochs=1, batch=16), state)
+    plain, stateful = tmp_path / "plain.npz", tmp_path / "stateful.npz"
+    save_checkpoint(p, plain)
+    save_checkpoint(p, stateful, state)
+    with np.load(plain) as a, np.load(stateful) as b:
+        assert sorted(b) == sorted([*a, "adam_m", "adam_v"])
+        assert all(np.array_equal(a[name], b[name]) for name in a if name != "meta")
+        meta = json.loads(bytes(b["meta"]))
+        assert meta.pop("train") == {"steps": 3, "epochs": 1, "rng": state.rng}
+        assert meta == json.loads(bytes(a["meta"]))
+    assert np.array_equal(load_checkpoint(stateful).flat, p.flat)
+    q, loaded = load_checkpoint(stateful, with_state=True)
+    assert np.array_equal(q.flat, p.flat)
+    assert (loaded.steps, loaded.epochs, loaded.rng) == (state.steps, state.epochs, state.rng)
+    assert np.array_equal(loaded.m, state.m) and np.array_equal(loaded.v, state.v)
+    with pytest.raises(CheckpointError, match="no training state"):
+        load_checkpoint(plain, with_state=True)
+
+
+def _with_train(meta, **changes):
+    return {**meta, "train": {**meta["train"], **changes}}
+
+
+# Metadata faults: (the metadata of a checkpoint saved with a training state,
+# made bad; whether only a reader of the state sees the fault)
+BAD_METADATA = {
+    "config_unknown_key": (lambda meta: {**meta, "config": {**meta["config"], "depth": 2}},
+                           False),
+    "config_list": (lambda meta: {**meta, "config": [32, 64]}, False),
+    "meta_list": (lambda meta: [meta], False),
+    "train_list": (lambda meta: {**meta, "train": [0, 0, None]}, True),
+    "train_key_missing": (lambda meta: {**meta, "train": {"steps": 0, "epochs": 0}}, True),
+    "train_key_unknown": (lambda meta: _with_train(meta, lr=0.1), True),
+    "steps_text": (lambda meta: _with_train(meta, steps="3"), True),
+    "steps_bool": (lambda meta: _with_train(meta, steps=True), True),
+    "epochs_negative": (lambda meta: _with_train(meta, epochs=-1), True),
+    "rng_text": (lambda meta: _with_train(meta, rng="PCG64"), True),
+    "rng_other_generator": (lambda meta: _with_train(meta, rng={"bit_generator": "MT19937"}),
+                            True),
+}
+
+
+def bad_metadata_checkpoint(path, fault: str) -> None:
+    """Save a checkpoint with a training state, then give it the metadata
+    that ``fault`` makes of its own."""
+    p = init_params(SMALL, 9)
+    state = vae.TrainState.fresh(p)
+    state.rng = np.random.default_rng(1).bit_generator.state
+    save_checkpoint(p, path, state)
+    with np.load(path) as data:
+        arrays = dict(data)
+    meta = BAD_METADATA[fault][0](json.loads(bytes(arrays["meta"])))
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez(path, **arrays)
+
+
+@pytest.mark.parametrize("fault", BAD_METADATA)
+def test_checkpoint_bad_metadata_rejected(tmp_path, fault):
+    path = tmp_path / "model.npz"
+    bad_metadata_checkpoint(path, fault)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path, with_state=True)
+    if BAD_METADATA[fault][1]:  # a reader of the weights alone ignores the state
+        assert load_checkpoint(path).config == SMALL
+    else:
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+
+@pytest.mark.parametrize("fault", ["missing", "shape", "dtype"])
+def test_checkpoint_bad_state_member_rejected(tmp_path, fault):
+    path = tmp_path / "model.npz"
+    p = init_params(SMALL, 9)
+    save_checkpoint(p, path, vae.TrainState.fresh(p))
+    with np.load(path) as data:
+        arrays = dict(data)
+    if fault == "missing":
+        del arrays["adam_m"]
+    elif fault == "shape":
+        arrays["adam_v"] = np.zeros(5)
+    else:
+        arrays["adam_m"] = arrays["adam_m"].astype(np.float32)
+    np.savez(path, **arrays)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path, with_state=True)
+    assert load_checkpoint(path).config == SMALL  # the weights alone still load
 
 
 def saved_members(path):
