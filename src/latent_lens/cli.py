@@ -306,8 +306,8 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     history_path = out_dir / "history.csv"
-    history_text = (history_path.read_text() if args.resume and history_path.exists()
-                    else "epoch,loss,recon_ce,kl\n")  # a resumed run adds to the rows there
+    prior = history_path.read_text().splitlines(True) if args.resume and history_path.exists() else []
+    history_text = "epoch,loss,recon_ce,kl\n" + "".join(prior[1 : 1 + state.epochs])  # epochs done
     ckpt_path = out_dir / "checkpoint.npz"
     try:
         params, history = vae.train(params, [seq for seq, _ in kept], tcfg, state)
