@@ -289,11 +289,22 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     watch = report.Stopwatch()
-    manifest = report.RunManifest("train", vars(args))
+    manifest = report.RunManifest("train", vars(args))  # so it records the settings taken below
     manifest.environment = {name: os.environ.get(name)
                             for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     params, state = (_load_checkpoint(args.resume, manifest, with_state=True)
                      if args.resume else (None, None))
+    if args.resume:  # the run's settings: a flag left at its default takes the stored one
+        stored = {**dataclasses.asdict(params.config), **(state.settings or {})}
+        for f in dataclasses.fields(vae.ModelConfig) + dataclasses.fields(vae.TrainConfig):
+            given, value = getattr(args, f.name, None), stored.get(f.name)
+            if None in (given, value) or given == value:  # no flag, none stored, or the same
+                continue
+            if given == f.default:
+                setattr(args, f.name, value)
+            elif f.name not in vae.RESUME_MAY_CHANGE:
+                raise CliInputError(f"--{f.name.replace('_', '-')} {given} differs from the "
+                                    f"checkpoint's {value}")
     entries = _load_corpus_file(args.corpus, manifest)
     seq_len = len(entries[0][0]) if params is None else params.config.seq_len
     kept, skipped = _keep_model_length(entries, seq_len, args.corpus)
@@ -306,19 +317,17 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     history_path = out_dir / "history.csv"
-    prior = history_path.read_text().splitlines(True) if args.resume and history_path.exists() else []
-    history_text = "epoch,loss,recon_ce,kl\n" + "".join(prior[1 : 1 + state.epochs])  # epochs done
     ckpt_path = out_dir / "checkpoint.npz"
     try:
-        params, history = vae.train(params, [seq for seq, _ in kept], tcfg, state)
+        params, _ = vae.train(params, [seq for seq, _ in kept], tcfg, state)
     except vae.TrainingDiverged as err:
-        params, state, history = err.params, err.state, err.history
+        params, state = err.params, err.state
         manifest.error = f"training diverged: {err}"
     watch.lap("train")
 
     vae.save_checkpoint(params, ckpt_path, state)
-    for row in history:
-        history_text += f"{row.epoch},{row.loss:.10g},{row.recon_ce:.10g},{row.kl:.10g}\n"
+    history_text = "epoch,loss,recon_ce,kl\n" + "".join(
+        f"{row.epoch},{row.loss:.10g},{row.recon_ce:.10g},{row.kl:.10g}\n" for row in state.history)
     report.write_text_atomic(history_path, history_text)
     watch.lap("write")
     manifest.add_output(str(ckpt_path))
@@ -328,8 +337,8 @@ def cmd_train(args) -> int:
     if manifest.error:
         log.error("%s (last good checkpoint kept)", manifest.error)
         return 2
-    log.info("final loss %.4f (recon %.4f, kl %.4f)", history[-1].loss,
-             history[-1].recon_ce, history[-1].kl)
+    log.info("final loss %(loss).4f (recon %(recon_ce).4f, kl %(kl).4f)",
+             vars(state.history[-1]))
     return 0
 
 
@@ -366,6 +375,8 @@ def cmd_analyze(args) -> int:
         raise CliInputError("--phik-bins must be >= 2")
     if not 0.0 < args.lowess_frac <= 1.0:
         raise CliInputError("--lowess-frac must lie in (0, 1]")
+    if not np.all(np.isfinite([args.sigma_threshold, args.activation_threshold])):
+        raise CliInputError("--sigma-threshold and --activation-threshold must be finite")
     params = _load_checkpoint(args.checkpoint, manifest)
     seq_len = params.config.seq_len
     skipped = {}

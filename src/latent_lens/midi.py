@@ -75,31 +75,13 @@ class Other:
 EventKind = NoteOn | NoteOff | TempoChange | TimeSignature | Other
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class MidiEvent:
-    """One track event at an absolute tick.
+    """One track event at an absolute tick.  Not frozen, because a parse builds
+    one per event and a frozen dataclass's constructor costs three times as much."""
 
-    A ``__slots__`` class rather than a frozen dataclass, because a parse
-    builds one per event and a frozen dataclass's constructor costs three
-    times as much.  It compares, hashes and prints as that dataclass did, but
-    its fields can be reassigned.
-    """
-
-    __slots__ = ("tick", "kind")
-
-    def __init__(self, tick: int, kind: EventKind) -> None:
-        self.tick = tick
-        self.kind = kind
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.tick, self.kind) == (other.tick, other.kind)
-
-    def __hash__(self) -> int:
-        return hash((self.tick, self.kind))
-
-    def __repr__(self) -> str:
-        return f"MidiEvent(tick={self.tick!r}, kind={self.kind!r})"
+    tick: int
+    kind: EventKind
 
 
 @dataclass

@@ -30,8 +30,8 @@ input from a table over the whole vocabulary.
 The weights are one float64 vector, ``Params.flat``, with a named view per
 parameter.  Gradients and Adam's moments are vectors of the same layout, so
 clipping scales a gradient in one operation and Adam updates in one pass.
-They live in a ``TrainState`` with the run's counts and generator state, so a
-checkpoint saved with it continues the run as if it had never stopped.
+They live in a ``TrainState`` with the run's counts, generator state, settings
+and history, so a checkpoint saved with it continues the run exactly.
 The training pass writes the gradient, the token tables and their summed
 gradients, and the large (T, B, .) arrays that backprop reads (scan states
 and gates, logits and the backward scans' gate gradients), into a
@@ -185,6 +185,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if not all(map(math.isfinite, (self.lr, self.beta_max, self.grad_clip_norm))):
+            raise ValueError("lr, beta_max and grad_clip_norm must be finite")
         if not self.lr > 0:
             raise ValueError("lr must be positive")
         if self.beta_max < 0:
@@ -194,6 +196,15 @@ class TrainConfig:
         if not 0.0 <= self.input_dropout < 1.0:
             raise ValueError("input_dropout must lie in [0, 1)")
 
+    def settings(self) -> dict:
+        """The fields but ``epochs``: what a run keeps from one call to the next."""
+        return {name: value for name, value in asdict(self).items() if name != "epochs"}
+
+
+# The stored settings a resumed run may change (a lower rate after a divergence).
+RESUME_MAY_CHANGE = ("lr",)
+_SETTING_TYPES = {name: type(value).__name__ for name, value in TrainConfig(1).settings().items()}
+
 
 @dataclass
 class EpochStats:
@@ -202,6 +213,10 @@ class EpochStats:
     recon_ce: float
     kl: float
     sigma_median: np.ndarray  # per-dim median sigma on the held-out slice
+
+    def __post_init__(self) -> None:  # also the check of a row read from a checkpoint
+        self.loss, self.recon_ce, self.kl = float(self.loss), float(self.recon_ce), float(self.kl)
+        self.sigma_median = np.asarray(self.sigma_median, dtype=float)
 
 
 def init_params(cfg: ModelConfig, seed: int) -> Params:
@@ -606,15 +621,17 @@ def _clip_grads(grads: Params, max_norm: float, ws: _Workspace) -> None:
 
 @dataclass(eq=False)
 class TrainState:
-    """Where a run stands: Adam's moments, laid out like ``Params.flat``; the
-    steps taken, which set both Adam's bias correction and the beta ramp; the
-    epochs done; and the bit generator's state after the last (None before)."""
+    """Where a run stands: Adam's moments, laid out like ``Params.flat``; the steps
+    taken, which set both Adam's bias correction and the beta ramp; the epochs done,
+    a history row each; the bit generator's state and the settings after the last."""
 
     m: np.ndarray
     v: np.ndarray
     steps: int
     epochs: int
     rng: dict | None
+    settings: dict | None
+    history: list[EpochStats]
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
@@ -623,10 +640,16 @@ class TrainState:
             raise ValueError("training state counts must be integers >= 0")
         if self.rng is not None:
             np.random.PCG64().state = self.rng  # rejects a malformed generator state
+        if self.epochs or self.settings is not None:  # every field, of its default's type
+            TrainConfig(1, **self.settings)  # rejects an unknown field or a bad value
+            if {k: type(v).__name__ for k, v in self.settings.items()} != _SETTING_TYPES:
+                raise ValueError(f"training settings must have the types {_SETTING_TYPES}")
+        if [row.epoch for row in self.history] != list(range(self.epochs)):
+            raise ValueError("training history must hold one row per epoch done")
 
     @classmethod
     def fresh(cls, p: Params) -> "TrainState":
-        return cls(np.zeros_like(p.flat), np.zeros_like(p.flat), 0, 0, None)
+        return cls(np.zeros_like(p.flat), np.zeros_like(p.flat), 0, 0, None, None, [])
 
     def adam_step(self, params: Params, grad: np.ndarray, lr: float, ws: _Workspace) -> None:
         """Count a step; update ``params`` from the flat ``grad``, which ends holding the update."""
@@ -652,7 +675,8 @@ class TrainState:
 def train(p: Params, corpus, cfg: TrainConfig, state: TrainState | None = None
           ) -> tuple[Params, list[EpochStats]]:
     """Adam + gradient clipping with a linear KL-weight ramp, for ``cfg.epochs``
-    epochs on from ``state`` (fresh when None), which advances in place.
+    epochs on from ``state`` (fresh when None), which advances in place;
+    returns the weights and the history rows added to ``state.history``.
 
     beta rises linearly from 0 to ``cfg.beta_max`` over
     ``cfg.beta_anneal_steps`` optimizer steps.  Because the reconstruction
@@ -667,13 +691,20 @@ def train(p: Params, corpus, cfg: TrainConfig, state: TrainState | None = None
     training batches and the per-dim median posterior sigma on a held-out
     slice of the corpus (drawn from ``cfg.seed``), numbered on from
     ``state.epochs``.  E1 epochs and then E2 more from the weights and state
-    reached equal E1 + E2 straight through, for the same corpus and ``cfg``
-    but ``epochs``.  Deterministic for a fixed seed and a fixed BLAS thread
-    count: the ``out_w`` gradient's sum over every position rounds
-    differently when BLAS splits it across threads.  On divergence raises
-    :class:`TrainingDiverged` carrying the weights and state from the last
-    completed epoch.
+    reached equal E1 + E2 straight through, for the same corpus; ``cfg`` must
+    hold the state's settings, bar ``RESUME_MAY_CHANGE`` (else ValueError).
+    Deterministic for a fixed seed and a fixed BLAS thread count: the
+    ``out_w`` gradient's sum over every position rounds differently when
+    BLAS splits it across threads.  On divergence raises
+    :class:`TrainingDiverged` carrying the weights, state and rows of this
+    call's last completed epoch.
     """
+    params = p.copy()
+    state = TrainState.fresh(params) if state is None else state
+    settings = cfg.settings()
+    for name, value in (state.settings or {}).items():
+        if name not in RESUME_MAY_CHANGE and settings[name] != value:
+            raise ValueError(f"{name} is {value} in the run resumed, not {settings[name]}")
     tokens = _stack_batch(corpus, p.config.seq_len)
     n = tokens.shape[0]
     if n < 2:
@@ -684,14 +715,12 @@ def train(p: Params, corpus, cfg: TrainConfig, state: TrainState | None = None
     hold = tokens[perm[:n_hold]]
     train_tokens = tokens[perm[n_hold:]]
 
-    params = p.copy()
-    state = TrainState.fresh(params) if state is None else state
     if state.rng is not None:
         rng.bit_generator.state = state.rng
     ws = _Workspace()
-    history: list[EpochStats] = []
+    start = state.epochs
     last_good = params.copy(), copy.deepcopy(state)
-    for epoch in range(state.epochs, state.epochs + cfg.epochs):
+    for epoch in range(start, start + cfg.epochs):
         order = rng.permutation(train_tokens.shape[0])
         losses, recons, kls = [], [], []
         for lo in range(0, order.size, cfg.batch):
@@ -705,7 +734,8 @@ def train(p: Params, corpus, cfg: TrainConfig, state: TrainState | None = None
             try:
                 loss, recon, kl, cache = _loss_forward(params, batch, beta, eps, keep, ws)
             except NumericalError as err:
-                raise TrainingDiverged(f"epoch {epoch}: {err}", *last_good, history) from err
+                raise TrainingDiverged(f"epoch {epoch}: {err}", *last_good,
+                                       last_good[1].history[start:]) from err
             grads = _loss_backward(params, batch, beta, eps, cache)
             _clip_grads(grads, cfg.grad_clip_norm, ws)
             state.adam_step(params, grads.flat, cfg.lr, ws)
@@ -713,19 +743,12 @@ def train(p: Params, corpus, cfg: TrainConfig, state: TrainState | None = None
             recons.append(recon)
             kls.append(kl)
         _, hold_sigma = encode_batch(params, hold)
-        history.append(
-            EpochStats(
-                epoch=epoch,
-                loss=float(np.mean(losses)),
-                recon_ce=float(np.mean(recons)),
-                kl=float(np.mean(kls)),
-                sigma_median=np.median(hold_sigma, axis=0),
-            )
-        )
-        state.epochs, state.rng = epoch + 1, rng.bit_generator.state
+        state.history.append(EpochStats(epoch, np.mean(losses), np.mean(recons), np.mean(kls),
+                                        np.median(hold_sigma, axis=0)))
+        state.epochs, state.rng, state.settings = epoch + 1, rng.bit_generator.state, settings
         del last_good  # so that only one copy is held at a time
         last_good = params.copy(), copy.deepcopy(state)
-    return params, history
+    return params, state.history[start:]
 
 
 def save_checkpoint(p: Params, path, state: TrainState | None = None) -> None:
@@ -741,7 +764,10 @@ def save_checkpoint(p: Params, path, state: TrainState | None = None) -> None:
     }
     arrays = {f"param_{k}": v for k, v in p.arrays().items()}
     if state is not None:
-        meta["train"] = {"steps": state.steps, "epochs": state.epochs, "rng": state.rng}
+        history = [{**vars(row), "sigma_median": row.sigma_median.tolist()}
+                   for row in state.history]
+        meta["train"] = {"steps": state.steps, "epochs": state.epochs, "rng": state.rng,
+                         "settings": state.settings, "history": history}
         arrays.update(adam_m=state.m, adam_v=state.v)
     arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8).copy()
     with open(path, "wb") as fh:
@@ -769,8 +795,9 @@ def load_checkpoint(path, with_state: bool = False):
             if with_state:
                 if "train" not in meta:
                     raise CheckpointError("checkpoint holds no training state to resume from")
-                state = TrainState(np.empty_like(params.flat), np.empty_like(params.flat),
-                                   **meta["train"])
+                saved = meta["train"]
+                state = TrainState(np.empty_like(params.flat), np.empty_like(params.flat), **{
+                    **saved, "history": [EpochStats(**row) for row in saved["history"]]})
                 members.update(adam_m=state.m, adam_v=state.v)
             for name, view in members.items():
                 arr = data[name]

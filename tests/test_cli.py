@@ -1,9 +1,12 @@
+import ast
 import dataclasses
 import hashlib
+import importlib
 import json
 import os
 import warnings
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,18 +232,28 @@ def test_train_divergence_keeps_checkpoint_and_manifest(tmp_path):
     assert sorted(manifest["outputs"]) == [str(out / "checkpoint.npz"), str(out / "history.csv")]
 
 
-def test_train_resume_continues_epochs(tiny_run, tmp_path):
+def test_train_resume_continues_epochs(tiny_run, tmp_path, caplog):
+    """A resume into a new directory writes the run's whole history, and
+    takes the run's settings from the checkpoint: a flag left at its default
+    gets the stored value, and one set to another value exits 1."""
     _, corpus_path, _, train_dir, _ = tiny_run
     resume_dir = tmp_path / "resumed"
-    resume_dir.mkdir()
-    (resume_dir / "history.csv").write_text(
-        (train_dir / "history.csv").read_text()
-    )
     assert run("train", "--corpus", str(corpus_path), "--out-dir", str(resume_dir),
                "--resume", str(train_dir / "checkpoint.npz"),
-               "--epochs", "1", "--batch", "32", "--seed", "1") == 0
+               "--epochs", "1", "--batch", "32") == 0
     rows = (resume_dir / "history.csv").read_text().strip().splitlines()
     assert [r.split(",")[0] for r in rows[1:]] == ["0", "1", "2"]
+    config = json.loads((resume_dir / "manifest.json").read_text())["config"]
+    assert (config["latent_dim"], config["embed_dim"], config["hidden_dim"]) == (8, 12, 16)
+    assert (config["seed"], config["batch"], config["epochs"]) == (0, 32, 1)
+    for flag, value, stored in [("--seed", "5", "0"), ("--batch", "7", "32"),
+                                ("--latent-dim", "99", "8"), ("--beta-max", "0.5", "0.2")]:
+        caplog.clear()
+        out = tmp_path / f"conflict{flag}"
+        assert run("train", "--corpus", str(corpus_path), "--out-dir", str(out), "--resume",
+                   str(train_dir / "checkpoint.npz"), "--epochs", "1", flag, value) == 1
+        assert caplog.messages == [f"{flag} {value} differs from the checkpoint's {stored}"]
+        assert not out.exists()
 
 
 TINY_TRAIN = ["--embed-dim", "12", "--hidden-dim", "16", "--latent-dim", "8", "--batch", "32",
@@ -248,19 +261,22 @@ TINY_TRAIN = ["--embed-dim", "12", "--hidden-dim", "16", "--latent-dim", "8", "-
 
 
 def test_train_then_resume_equals_one_run(tiny_run, tmp_path):
-    """One epoch, then two more with --resume into the same directory, write
-    the checkpoint and history of three epochs in one run.  Resuming from
-    the one-epoch checkpoint again keeps only its epoch's row."""
+    """One epoch, then two more with --resume into the same directory or a
+    new one, write the checkpoint and history of three epochs in one run.
+    Resuming from the one-epoch checkpoint again keeps only its epoch's row."""
     _, corpus_path, _, _, _ = tiny_run
-    straight, split = tmp_path / "straight", tmp_path / "split"
+    straight, split, moved = tmp_path / "straight", tmp_path / "split", tmp_path / "moved"
     train = ["train", "--corpus", str(corpus_path), *TINY_TRAIN, "--out-dir"]
     assert run(*train, str(straight), "--epochs", "3") == 0
     assert run(*train, str(split), "--epochs", "1") == 0
     one_epoch = tmp_path / "one_epoch.npz"
     one_epoch.write_bytes((split / "checkpoint.npz").read_bytes())
+    assert run("train", "--corpus", str(corpus_path), "--out-dir", str(moved), "--epochs", "2",
+               "--resume", str(one_epoch)) == 0
     assert run(*train, str(split), "--epochs", "2", "--resume", str(split / "checkpoint.npz")) == 0
     for name in ("checkpoint.npz", "history.csv"):
         assert (split / name).read_bytes() == (straight / name).read_bytes(), name
+        assert (moved / name).read_bytes() == (straight / name).read_bytes(), name
     assert run(*train, str(split), "--epochs", "1", "--resume", str(one_epoch)) == 0
     rows = (straight / "history.csv").read_text().splitlines(True)
     assert (split / "history.csv").read_text() == "".join(rows[:3])  # epochs 0 and 1
@@ -365,13 +381,12 @@ def test_train_counts_sequences_of_another_length(tiny_run, tmp_path):
     long_first.write_text("\n".join([long_line] + lines) + "\n")
     runs = [  # (name, arguments, sequences dropped)
         ("fresh", ["--corpus", mixed, "--embed-dim", "4", "--hidden-dim", "6",
-                   "--latent-dim", "2"], 2),
+                   "--latent-dim", "2", "--batch", "16"], 2),
         ("resumed", ["--corpus", long_first, "--resume", train_dir / "checkpoint.npz"], 3),
     ]
     for name, argv, dropped in runs:
         out = tmp_path / name
-        assert run("train", *map(str, argv), "--out-dir", str(out), "--epochs", "1",
-                   "--batch", "16") == 0, name
+        assert run("train", *map(str, argv), "--out-dir", str(out), "--epochs", "1") == 0, name
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["dropped"] == {"skipped_sequences": {"corpus": dropped}}, name
         assert vae.load_checkpoint(out / "checkpoint.npz").config.seq_len == 32
@@ -380,10 +395,16 @@ def test_train_counts_sequences_of_another_length(tiny_run, tmp_path):
 @pytest.mark.parametrize("command, flag, value", [
     ("train", "--epochs", "0"),
     ("train", "--latent-dim", "0"),
+    ("train", "--beta-max", "nan"),
+    ("train", "--beta-max", "inf"),
+    ("train", "--lr", "inf"),
+    ("train", "--grad-clip-norm", "nan"),
     ("ingest", "--max-per-file", "0"),
     ("ingest", "--min-notes", "0"),
     ("analyze", "--phik-bins", "1"),
     ("analyze", "--lowess-frac", "0"),
+    ("analyze", "--sigma-threshold", "nan"),
+    ("analyze", "--activation-threshold", "nan"),
 ])
 def test_invalid_flag_value_is_input_error(tiny_run, tmp_path, caplog, command, flag, value):
     _, corpus_path, _, train_dir, _ = tiny_run
@@ -915,3 +936,16 @@ def test_flags_reach_their_configs(tmp_path, monkeypatch):
         for field in dataclasses.fields(cfg):
             if field.name not in ("vocab", "seq_len"):  # set by no flag
                 assert expected[field.name] != field.default, field.name
+
+
+def test_every_traced_name_exists():
+    """perfbench's tracer patches each function its TRACED table names, so a
+    name removed from the program breaks ``perfbench/run.py --trace 1``.  The
+    table is read from the file's source, which is neither run nor cached."""
+    source = (Path(__file__).parents[1] / "perfbench" / "tracing.py").read_text()
+    [traced] = [ast.literal_eval(node.value) for node in ast.parse(source).body
+                if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TRACED"]
+    for module, names in traced.items():
+        defined = vars(importlib.import_module(f"latent_lens.{module}"))
+        for name in names:
+            assert callable(defined.get(name)), f"{module}.{name}"

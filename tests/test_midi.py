@@ -122,7 +122,9 @@ def test_midi_event_value_semantics():
     assert {event, same, other} == {same, other}
     assert same in {event} and pair not in {event}
     assert repr(event) == "MidiEvent(tick=96, kind=NoteOn(channel=0, pitch=60, velocity=100))"
-    assert not hasattr(event, "__dict__")
+    assert MidiEvent.__slots__ == ("tick", "kind") and not hasattr(event, "__dict__")
+    same.tick = 97  # not frozen: it hashes and compares by its fields as they are now
+    assert same != event and hash(same) == hash((97, NoteOn(0, 60, 100)))
 
 
 def vlq(v: int) -> bytes:

@@ -629,10 +629,30 @@ def test_resumed_training_equals_training_straight_through(tmp_path_factory, fir
     resumed, tail = train(params, seqs, TrainConfig(epochs=more, **cfg), state)
     assert np.array_equal(resumed.flat, straight.flat)
     assert (state.steps, state.epochs) == (3 * (first + more), first + more)
+    assert state.settings == TrainConfig(epochs=1, **cfg).settings()
+    assert len(state.history) == len(rows)
     for got, want in zip(head + tail, rows, strict=True):
         assert (got.epoch, got.loss, got.recon_ce, got.kl) == (
             want.epoch, want.loss, want.recon_ce, want.kl)
         assert np.array_equal(got.sigma_median, want.sigma_median)
+    assert all(got is want for got, want in zip(state.history[first:], tail, strict=True))
+
+
+@pytest.mark.parametrize("setting, value", [("seed", 1), ("batch", 8), ("beta_max", 0.5),
+                                            ("beta_anneal_steps", 7), ("grad_clip_norm", 2.0),
+                                            ("input_dropout", 0.0)])
+def test_resume_with_another_setting_is_refused(setting, value):
+    """A run goes on with the settings it was started with; only the rate
+    may change, and with it the run goes on at the new rate."""
+    seqs = tiny_corpus(40)
+    state = vae.TrainState.fresh(init_params(SMALL, 6))
+    p1, _ = train(init_params(SMALL, 6), seqs, TrainConfig(epochs=1, batch=16), state)
+    steps = state.steps
+    with pytest.raises(ValueError, match=f"^{setting} is "):
+        train(p1, seqs, TrainConfig(**{"epochs": 1, "batch": 16, setting: value}), state)
+    assert (state.steps, state.epochs) == (steps, 1)
+    train(p1, seqs, TrainConfig(epochs=1, batch=16, lr=5e-4), state)
+    assert (state.epochs, state.settings["lr"]) == (2, 5e-4)
 
 
 def test_divergence_carries_the_last_completed_epoch(monkeypatch):
@@ -658,6 +678,7 @@ def test_divergence_carries_the_last_completed_epoch(monkeypatch):
     monkeypatch.undo()
     err = caught.value
     assert [row.epoch for row in err.history] == [0, 1]
+    assert [row.epoch for row in err.state.history] == [0, 1]
     assert np.array_equal(err.params.flat, two.flat)
     assert (err.state.steps, err.state.epochs, err.state.rng) == (
         two_state.steps, two_state.epochs, two_state.rng)
@@ -699,12 +720,21 @@ def test_checkpoint_with_state_keeps_the_weights_and_adds_members(tmp_path):
         assert sorted(b) == sorted([*a, "adam_m", "adam_v"])
         assert all(np.array_equal(a[name], b[name]) for name in a if name != "meta")
         meta = json.loads(bytes(b["meta"]))
-        assert meta.pop("train") == {"steps": 3, "epochs": 1, "rng": state.rng}
+        [row] = state.history
+        assert meta.pop("train") == {
+            "steps": 3, "epochs": 1, "rng": state.rng,
+            "settings": TrainConfig(epochs=1, batch=16).settings(),
+            "history": [{"epoch": 0, "loss": row.loss, "recon_ce": row.recon_ce, "kl": row.kl,
+                         "sigma_median": row.sigma_median.tolist()}]}
         assert meta == json.loads(bytes(a["meta"]))
     assert np.array_equal(load_checkpoint(stateful).flat, p.flat)
     q, loaded = load_checkpoint(stateful, with_state=True)
     assert np.array_equal(q.flat, p.flat)
     assert (loaded.steps, loaded.epochs, loaded.rng) == (state.steps, state.epochs, state.rng)
+    assert loaded.settings == state.settings
+    assert [vars(r) | {"sigma_median": None} for r in loaded.history] == [
+        vars(r) | {"sigma_median": None} for r in state.history]
+    assert np.array_equal(loaded.history[0].sigma_median, row.sigma_median)
     assert np.array_equal(loaded.m, state.m) and np.array_equal(loaded.v, state.v)
     with pytest.raises(CheckpointError, match="no training state"):
         load_checkpoint(plain, with_state=True)
@@ -712,6 +742,13 @@ def test_checkpoint_with_state_keeps_the_weights_and_adds_members(tmp_path):
 
 def _with_train(meta, **changes):
     return {**meta, "train": {**meta["train"], **changes}}
+
+
+def _one_epoch(meta, **settings):
+    """The metadata of a state one epoch on, with ``settings`` changed."""
+    row = {"epoch": 0, "loss": 4.0, "recon_ce": 3.9, "kl": 0.5, "sigma_median": [0.9] * 6}
+    return _with_train(meta, steps=3, epochs=1, history=[row],
+                       settings={**TrainConfig(epochs=1).settings(), **settings})
 
 
 # Metadata faults: (the metadata of a checkpoint saved with a training state,
@@ -730,6 +767,17 @@ BAD_METADATA = {
     "rng_text": (lambda meta: _with_train(meta, rng="PCG64"), True),
     "rng_other_generator": (lambda meta: _with_train(meta, rng={"bit_generator": "MT19937"}),
                             True),
+    "settings_key_unknown": (lambda meta: _one_epoch(meta, depth=2), True),
+    "settings_before_an_epoch": (lambda meta: _with_train(meta, settings={"depth": 2}), True),
+    "settings_key_missing": (lambda meta: _with_train(_one_epoch(meta), settings={"lr": 1e-3}),
+                             True),
+    "settings_bad_value": (lambda meta: _one_epoch(meta, batch=0), True),
+    "settings_bad_type": (lambda meta: _one_epoch(meta, batch=16.0), True),
+    "history_rows_not_epochs": (lambda meta: _with_train(_one_epoch(meta), epochs=2), True),
+    "history_row_bad": (lambda meta: _with_train(_one_epoch(meta), history=[{"epoch": 0}]), True),
+    "before_settings_and_history": (  # a state saved before they were stored
+        lambda meta: {**meta, "train": {"steps": 3, "epochs": 1, "rng": meta["train"]["rng"]}},
+        True),
 }
 
 
@@ -745,6 +793,16 @@ def bad_metadata_checkpoint(path, fault: str) -> None:
     meta = BAD_METADATA[fault][0](json.loads(bytes(arrays["meta"])))
     arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
     np.savez(path, **arrays)
+
+
+def test_checkpoint_of_one_epoch_metadata_loads(tmp_path, monkeypatch):
+    """The metadata the settings and history faults start from is sound."""
+    monkeypatch.setitem(BAD_METADATA, "sound", (_one_epoch, True))
+    path = tmp_path / "model.npz"
+    bad_metadata_checkpoint(path, "sound")
+    _, state = load_checkpoint(path, with_state=True)
+    assert state.settings == TrainConfig(epochs=1).settings()
+    assert state.history[0].sigma_median.tolist() == [0.9] * 6
 
 
 @pytest.mark.parametrize("fault", BAD_METADATA)
