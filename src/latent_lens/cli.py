@@ -109,21 +109,19 @@ def _gen_args(p: argparse.ArgumentParser) -> None:
                    help="comma-separated step durations (musical corpus)")
 
 
+# The model and training settings a train flag sets.  One not given is absent
+# from the parsed flags: cmd_train takes the checkpoint's or else the default.
+_RUN_SETTINGS = [f for cls in (vae.ModelConfig, vae.TrainConfig) for f in dataclasses.fields(cls)
+                 if f.name not in ("vocab", "seq_len", "epochs")]
+
+
 def _train_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--corpus", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--epochs", type=int, default=30)
-    model, training = vae.ModelConfig, vae.TrainConfig
-    p.add_argument("--embed-dim", type=int, default=model.embed_dim)
-    p.add_argument("--hidden-dim", type=int, default=model.hidden_dim)
-    p.add_argument("--latent-dim", type=int, default=model.latent_dim)
-    p.add_argument("--lr", type=float, default=training.lr)
-    p.add_argument("--batch", type=int, default=training.batch)
-    p.add_argument("--beta-max", type=float, default=training.beta_max)
-    p.add_argument("--beta-anneal-steps", type=int, default=training.beta_anneal_steps)
-    p.add_argument("--grad-clip-norm", type=float, default=training.grad_clip_norm)
-    p.add_argument("--input-dropout", type=float, default=training.input_dropout)
-    p.add_argument("--seed", type=int, default=training.seed)
+    for f in _RUN_SETTINGS:
+        p.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default),
+                       default=argparse.SUPPRESS)
     p.add_argument("--resume", help="checkpoint to continue from")
 
 
@@ -289,22 +287,19 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     watch = report.Stopwatch()
-    manifest = report.RunManifest("train", vars(args))  # so it records the settings taken below
+    manifest = report.RunManifest("train", vars(args))  # so it records the settings filled in
     manifest.environment = {name: os.environ.get(name)
                             for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     params, state = (_load_checkpoint(args.resume, manifest, with_state=True)
                      if args.resume else (None, None))
-    if args.resume:  # the run's settings: a flag left at its default takes the stored one
-        stored = {**dataclasses.asdict(params.config), **(state.settings or {})}
-        for f in dataclasses.fields(vae.ModelConfig) + dataclasses.fields(vae.TrainConfig):
-            given, value = getattr(args, f.name, None), stored.get(f.name)
-            if None in (given, value) or given == value:  # no flag, none stored, or the same
-                continue
-            if given == f.default:
-                setattr(args, f.name, value)
-            elif f.name not in vae.RESUME_MAY_CHANGE:
-                raise CliInputError(f"--{f.name.replace('_', '-')} {given} differs from the "
-                                    f"checkpoint's {value}")
+    settings = {f.name: getattr(args, f.name) for f in _RUN_SETTINGS if hasattr(args, f.name)}
+    if args.resume:
+        try:
+            settings = vae.resume_settings(
+                {**dataclasses.asdict(params.config), **(state.settings or {})}, settings)
+        except ValueError as err:
+            raise CliInputError(str(err))
+    vars(args).update({f.name: settings.get(f.name, f.default) for f in _RUN_SETTINGS})
     entries = _load_corpus_file(args.corpus, manifest)
     seq_len = len(entries[0][0]) if params is None else params.config.seq_len
     kept, skipped = _keep_model_length(entries, seq_len, args.corpus)
@@ -337,8 +332,7 @@ def cmd_train(args) -> int:
     if manifest.error:
         log.error("%s (last good checkpoint kept)", manifest.error)
         return 2
-    log.info("final loss %(loss).4f (recon %(recon_ce).4f, kl %(kl).4f)",
-             vars(state.history[-1]))
+    log.info("final loss %(loss).4f (recon %(recon_ce).4f, kl %(kl).4f)", vars(state.history[-1]))
     return 0
 
 

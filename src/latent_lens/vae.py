@@ -206,6 +206,15 @@ RESUME_MAY_CHANGE = ("lr",)
 _SETTING_TYPES = {name: type(value).__name__ for name, value in TrainConfig(1).settings().items()}
 
 
+def resume_settings(stored: dict, given: dict) -> dict:
+    """``stored`` under ``given``; ValueError names a given setting outside
+    ``RESUME_MAY_CHANGE`` that differs from its stored value, and both values."""
+    for name, value in given.items():
+        if name in stored and name not in RESUME_MAY_CHANGE and value != stored[name]:
+            raise ValueError(f"{name} is {stored[name]} in the run resumed, not {value}")
+    return {**stored, **given}
+
+
 @dataclass
 class EpochStats:
     epoch: int
@@ -622,8 +631,8 @@ def _clip_grads(grads: Params, max_norm: float, ws: _Workspace) -> None:
 @dataclass(eq=False)
 class TrainState:
     """Where a run stands: Adam's moments, laid out like ``Params.flat``; the steps
-    taken, which set both Adam's bias correction and the beta ramp; the epochs done,
-    a history row each; the bit generator's state and the settings after the last."""
+    taken, which set both Adam's bias correction and the beta ramp; the run's settings;
+    the epochs done, a history row each; and the bit generator's state after the last."""
 
     m: np.ndarray
     v: np.ndarray
@@ -692,7 +701,7 @@ def train(p: Params, corpus, cfg: TrainConfig, state: TrainState | None = None
     slice of the corpus (drawn from ``cfg.seed``), numbered on from
     ``state.epochs``.  E1 epochs and then E2 more from the weights and state
     reached equal E1 + E2 straight through, for the same corpus; ``cfg`` must
-    hold the state's settings, bar ``RESUME_MAY_CHANGE`` (else ValueError).
+    hold the state's settings, as :func:`resume_settings` checks.
     Deterministic for a fixed seed and a fixed BLAS thread count: the
     ``out_w`` gradient's sum over every position rounds differently when
     BLAS splits it across threads.  On divergence raises
@@ -701,10 +710,7 @@ def train(p: Params, corpus, cfg: TrainConfig, state: TrainState | None = None
     """
     params = p.copy()
     state = TrainState.fresh(params) if state is None else state
-    settings = cfg.settings()
-    for name, value in (state.settings or {}).items():
-        if name not in RESUME_MAY_CHANGE and settings[name] != value:
-            raise ValueError(f"{name} is {value} in the run resumed, not {settings[name]}")
+    settings = resume_settings(state.settings or {}, cfg.settings())
     tokens = _stack_batch(corpus, p.config.seq_len)
     n = tokens.shape[0]
     if n < 2:
@@ -717,6 +723,7 @@ def train(p: Params, corpus, cfg: TrainConfig, state: TrainState | None = None
 
     if state.rng is not None:
         rng.bit_generator.state = state.rng
+    state.settings = state.settings or settings  # kept even if the first epoch diverges
     ws = _Workspace()
     start = state.epochs
     last_good = params.copy(), copy.deepcopy(state)
@@ -764,8 +771,7 @@ def save_checkpoint(p: Params, path, state: TrainState | None = None) -> None:
     }
     arrays = {f"param_{k}": v for k, v in p.arrays().items()}
     if state is not None:
-        history = [{**vars(row), "sigma_median": row.sigma_median.tolist()}
-                   for row in state.history]
+        history = [{**vars(r), "sigma_median": r.sigma_median.tolist()} for r in state.history]
         meta["train"] = {"steps": state.steps, "epochs": state.epochs, "rng": state.rng,
                          "settings": state.settings, "history": history}
         arrays.update(adam_m=state.m, adam_v=state.v)

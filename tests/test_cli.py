@@ -252,8 +252,48 @@ def test_train_resume_continues_epochs(tiny_run, tmp_path, caplog):
         out = tmp_path / f"conflict{flag}"
         assert run("train", "--corpus", str(corpus_path), "--out-dir", str(out), "--resume",
                    str(train_dir / "checkpoint.npz"), "--epochs", "1", flag, value) == 1
-        assert caplog.messages == [f"{flag} {value} differs from the checkpoint's {stored}"]
+        name = flag[2:].replace("-", "_")
+        assert caplog.messages == [f"{name} is {stored} in the run resumed, not {value}"]
         assert not out.exists()
+
+
+def test_resume_flag_given_at_its_default_value_counts(tiny_run, tmp_path, caplog):
+    """A flag given on resume counts even at its default value: --lr replaces
+    the stored rate, and --seed 0 on a seed-5 run exits 1."""
+    _, corpus_path, _, _, _ = tiny_run
+    train = ["train", "--corpus", str(corpus_path), *TINY_TRAIN, "--out-dir"]
+    first, resumed = tmp_path / "first", tmp_path / "resumed"
+    assert run(*train, str(first), "--epochs", "1", "--lr", "5e-4", "--seed", "5") == 0
+    resume = ["train", "--corpus", str(corpus_path), "--epochs", "1",
+              "--resume", str(first / "checkpoint.npz"), "--out-dir"]
+    assert run(*resume, str(resumed), "--lr", "1e-3") == 0
+    _, state = vae.load_checkpoint(resumed / "checkpoint.npz", with_state=True)
+    assert (state.settings["lr"], state.settings["seed"]) == (1e-3, 5)
+    config = json.loads((resumed / "manifest.json").read_text())["config"]
+    assert (config["lr"], config["seed"]) == (1e-3, 5)
+    caplog.clear()
+    assert run(*resume, str(tmp_path / "seed0"), "--seed", "0") == 1
+    assert caplog.messages == ["seed is 5 in the run resumed, not 0"]
+    assert not (tmp_path / "seed0").exists()
+
+
+def test_run_diverging_in_its_first_epoch_keeps_its_settings(tiny_run, tmp_path, caplog):
+    """A fresh run that diverges before any epoch completes still stores its
+    settings, so a resume of it with another --batch exits 1."""
+    _, corpus_path, _, _, _ = tiny_run
+    out = tmp_path / "diverged"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert run("train", "--corpus", str(corpus_path), *TINY_TRAIN, "--out-dir", str(out),
+                   "--epochs", "1", "--lr", "1e3", "--seed", "5") == 2
+    _, state = vae.load_checkpoint(out / "checkpoint.npz", with_state=True)
+    assert (state.epochs, state.settings["seed"], state.settings["lr"]) == (0, 5, 1e3)
+    caplog.clear()
+    assert run("train", "--corpus", str(corpus_path), "--out-dir", str(tmp_path / "again"),
+               "--epochs", "1", "--lr", "1e-3", "--batch", "7",
+               "--resume", str(out / "checkpoint.npz")) == 1
+    assert caplog.messages == ["batch is 32 in the run resumed, not 7"]
+    assert not (tmp_path / "again").exists()
 
 
 TINY_TRAIN = ["--embed-dim", "12", "--hidden-dim", "16", "--latent-dim", "8", "--batch", "32",
@@ -841,7 +881,7 @@ def test_parser_built_for_one_command_parses_as_the_full_one(argv):
     assert parser.format_help() == full_parser.format_help()
 
 
-def test_flag_defaults_are_the_config_defaults():
+def test_flag_defaults_are_the_config_defaults(tmp_path):
     parser, _ = cli.build_parser()
 
     def parse(*argv) -> dict:
@@ -864,7 +904,10 @@ def test_flag_defaults_are_the_config_defaults():
     for name, value in defaults(SyntheticConfig).items():
         assert gen[name] == value, name
 
-    train = parse("train", "--corpus", "corpus.jsonl", "--out-dir", "out")
+    train = parser.parse_args(["train", "--corpus", str(tmp_path / "no.jsonl"), "--out-dir", "out"])
+    with pytest.raises(cli.CliInputError, match="cannot read corpus"):
+        cli.cmd_train(train)  # fills in the settings not given, then reads the corpus
+    train = vars(train)
     model = defaults(vae.ModelConfig)
     for name in ("embed_dim", "hidden_dim", "latent_dim"):
         assert train[name] == model[name], name
