@@ -18,7 +18,7 @@ import numpy as np
 from .features import FEATURE_NAMES, extract_corpus_features
 from .report import Stopwatch
 from .stats import PHIK_BINS, BoxplotSummary, boxplot_summary, lowess, phik_matrix
-from .vae import Params, _stack_batch, encode_batch
+from .vae import Params, _stack_batch, _Workspace, encode_batch
 
 DEFAULT_SIGMA_THRESHOLD = 0.9
 DEFAULT_ACTIVATION_THRESHOLD = 0.1
@@ -92,8 +92,9 @@ def encode_corpus(params: Params, corpus, batch_size: int = 256) -> LatentMatrix
     bounds = list(range(0, tokens.shape[0], batch_size)) + [tokens.shape[0]]
     if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
         del bounds[-2]  # a one-row chunk goes to gemv, whose sums round differently
+    ws = _Workspace()
     for lo, hi in zip(bounds, bounds[1:]):
-        mus[lo:hi], sigmas[lo:hi] = encode_batch(params, tokens[lo:hi])
+        mus[lo:hi], sigmas[lo:hi] = encode_batch(params, tokens[lo:hi], ws)
     return LatentMatrix(mus, sigmas)
 
 

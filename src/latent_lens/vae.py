@@ -34,21 +34,24 @@ They live in a ``TrainState`` with the run's counts, generator state, settings
 and history, so a checkpoint saved with it continues the run exactly.
 The training pass writes the gradient, the token tables and their summed
 gradients, and the large (T, B, .) arrays that backprop reads (scan states
-and gates, logits and the backward scans' gate gradients), into a
-``_Workspace``: named float64 buffers that outlive one call.  The scans
-gather their gate inputs from token tables a few steps at a time
-(``_GATHER_BYTES``), and the backward decoder scan computes each step's
-output gradient in the step, so neither is held for the whole sequence:
-at B = 32 with the default model the workspace holds 17.0 MiB at 2 bars
-and 115.2 MiB at 16 bars.  ``train`` makes one per run, so every
-step after the first writes into the memory of the step before instead of
-mapping fresh pages; the public ``elbo_loss`` and ``elbo_loss_and_grads``
-make one per call, and nothing they return aliases a buffer another call
-writes.  The gathers use ``np.take(..., mode="clip", out=...)``: with the
-default ``mode="raise"`` numpy fills a hidden temporary and copies it into
+and gates, and logits), into a ``_Workspace``: named float64 buffers that
+outlive one call.  Backprop works in place: each backward scan writes its
+gate gradients over the gates it has read, and the logits become their
+gradient.  The scans gather their gate inputs from token tables a few steps
+at a time (``_GATHER_BYTES``), and the backward decoder scan computes each
+step's output gradient in the step, so neither is held for the whole
+sequence: at B = 32 with the default model, on a batch of the musical
+corpus, the workspace holds 12.3 MiB at 2 bars and 84.7 MiB at 16 bars.
+Clipping, Adam and ``encode_batch`` keep their scratch in buffers that are
+dead while they run (see ``_Workspace``).  ``train`` makes one per run, so
+every step after the first, and every epoch's held-out encode, writes into
+memory the run already holds instead of mapping fresh pages; the public
+``elbo_loss``, ``elbo_loss_and_grads`` and ``encode_batch`` make one per
+call, and nothing they return aliases a buffer another call writes.  The
+gathers use ``np.take(..., mode="clip", out=...)``: with the default
+``mode="raise"`` numpy fills a hidden temporary and copies it into
 ``out``, so that a bad index leaves ``out`` untouched.  The indices are
-table rows made here, always in range.  ``encode_batch`` allocates its step
-buffers once per call.
+table rows made here, always in range.
 """
 
 from __future__ import annotations
@@ -248,6 +251,19 @@ class _Workspace:
     for.  So a run's short last batch, or a batch with fewer distinct
     tokens, reuses the memory of a full one.  Arrays got under one name
     share memory; those under different names never do.
+
+    A buffer is reused by each phase that runs while its contents are dead:
+
+    - "enc_ru" and "dec_ru", "enc_c" and "dec_c": each scan's gates, which
+      its backward scan overwrites with their gradients; "logits", which
+      become their gradient.
+    - "enc_ru" is dead from the end of ``_loss_backward`` to the next
+      forward pass: ``_clip_grads`` squares into it and
+      ``TrainState.adam_step`` keeps its scratch there.
+    - Between steps every buffer is dead: ``encode_batch`` keeps its two
+      states in "enc_hs", its gates in "enc_ru" and "enc_c", its gate
+      input in "dec_ru", its scratch in "dec_c" and its token table in
+      "table", all smaller at B = 256 than a default-model B = 32 step's.
     """
 
     def __init__(self) -> None:
@@ -335,15 +351,15 @@ def _gru_backward(wh: np.ndarray, hs: np.ndarray, ru_all: np.ndarray,
     dh: (B, H) gradient at the last state.  dys, if given, are the (T, B, V)
     gradients of outputs y[t] = hs[t + 1] @ w_out (+ a bias); each step adds
     its state's share dys[t] @ w_out.T, computed into a (B, H) workspace
-    buffer.  Returns (dg_ru, dg_c, dh0), the input contribution's gradient
-    split into (T, B, 2H) and (T, B, H).  dg_ru and dg_c are the
-    workspace's "dg_ru" and "dg_c", which the next backward scan overwrites.
+    buffer.  The scan consumes the forward's gates: once step t has read its
+    r, u and c, and kept r * h_prev in the workspace's "s", it overwrites
+    ru_all[t] with [dg_r | dg_u] and c_all[t] with dg_c.  Returns (dg_ru,
+    dg_c, dh0): ru_all and c_all, now the input contribution's gradient.
     """
     t_len, b, h_dim = c_all.shape
     wh_ru = wh[:, : 2 * h_dim]
     wh_c = wh[:, 2 * h_dim :]
-    dg_ru = ws.get("dg_ru", ru_all.shape)
-    dg_c = ws.get("dg_c", c_all.shape)
+    s_all = ws.get("s", c_all.shape)
     dh_out = None if dys is None else ws.get("dh_out", (b, h_dim))
     for t in range(t_len - 1, -1, -1):
         h_prev = hs[t]
@@ -352,19 +368,20 @@ def _gru_backward(wh: np.ndarray, hs: np.ndarray, ru_all: np.ndarray,
         c = c_all[t]
         if dys is not None:
             dh = dh + np.matmul(dys[t], w_out.T, out=dh_out)
-        dg_ru[t, :, h_dim:] = dh * (h_prev - c) * u * (1.0 - u)
-        dg_c[t] = dac = dh * (1.0 - u) * (1.0 - c * c)
+        dg_u = dh * (h_prev - c) * u * (1.0 - u)
+        c_all[t] = dac = dh * (1.0 - u) * (1.0 - c * c)
         ds = dac @ wh_c.T
-        dg_ru[t, :, :h_dim] = ds * h_prev * r * (1.0 - r)
+        np.multiply(r, h_prev, out=s_all[t])
+        dg_r = ds * h_prev * r * (1.0 - r)
         dh = dh * u + ds * r
-        dh += dg_ru[t] @ wh_ru.T
+        ru_all[t, :, :h_dim] = dg_r
+        ru_all[t, :, h_dim:] = dg_u
+        dh += ru_all[t] @ wh_ru.T
     # weight gradients accumulate in two large matmuls over all steps
     h_prev_all = hs[:-1].reshape(-1, h_dim)
-    s_all = np.multiply(ru_all[..., :h_dim], hs[:-1], out=ws.get("s", c_all.shape))
-    s_all = s_all.reshape(-1, h_dim)  # r * h_prev
-    np.matmul(h_prev_all.T, dg_ru.reshape(-1, 2 * h_dim), out=dwh[:, : 2 * h_dim])
-    np.matmul(s_all.T, dg_c.reshape(-1, h_dim), out=dwh[:, 2 * h_dim :])
-    return dg_ru, dg_c, dh
+    np.matmul(h_prev_all.T, ru_all.reshape(-1, 2 * h_dim), out=dwh[:, : 2 * h_dim])
+    np.matmul(s_all.reshape(-1, h_dim).T, c_all.reshape(-1, h_dim), out=dwh[:, 2 * h_dim :])
+    return ru_all, c_all, dh
 
 
 def _stack_batch(batch, seq_len: int) -> np.ndarray:
@@ -411,19 +428,25 @@ def _token_sums(idx: np.ndarray, rows: int, dg_ru: np.ndarray, dg_c: np.ndarray,
     return out
 
 
-def encode_batch(p: Params, batch) -> tuple[np.ndarray, np.ndarray]:
+def encode_batch(p: Params, batch, ws: _Workspace | None = None
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """Encode many sequences at once; returns (mus, sigmas) as (n, d) arrays.
 
-    The training pass's exact result, from a scan that keeps only h.  Finite
-    weights can still put a sigma out of float range: that raises NumericalError."""
+    The training pass's exact result, from a scan that keeps only h, whose
+    step buffers and token table come from ``ws`` (a fresh workspace when
+    None).  Finite weights can still put a sigma out of float range: that
+    raises NumericalError."""
     tokens = _stack_batch(batch, p.config.seq_len)
     ids, inv = _token_ids(tokens)
-    table = p.embed[ids] @ p.enc_wx + p.enc_b
+    ws = _Workspace() if ws is None else ws
+    table = np.matmul(p.embed[ids], p.enc_wx, out=ws.get("table", (ids.size, p.enc_wx.shape[1])))
+    table += p.enc_b
     b, h_dim = tokens.shape[0], p.config.hidden_dim
-    g = np.empty((b, 3 * h_dim))
-    ru = np.empty((b, 2 * h_dim))
-    c, tmp = np.empty((b, h_dim)), np.empty((b, h_dim))
-    h, h_next = np.zeros((b, h_dim)), np.empty((b, h_dim))
+    g = ws.get("dec_ru", (b, 3 * h_dim))
+    ru = ws.get("enc_ru", (b, 2 * h_dim))
+    c, tmp = ws.get("enc_c", (b, h_dim)), ws.get("dec_c", (b, h_dim))
+    h, h_next = ws.get("enc_hs", (2, b, h_dim))
+    h.fill(0.0)
     for t in range(tokens.shape[1]):
         np.take(table, inv[:, t], axis=0, mode="clip", out=g)
         _gru_step(g, h, p.enc_wh, (h_next, ru, c, tmp))
@@ -529,16 +552,22 @@ def _loss_forward(p: Params, tokens: np.ndarray, beta: float, eps: np.ndarray,
         bad = np.flatnonzero(~(np.isfinite(ce_rows) & np.isfinite(kl_rows)))
         idx = int(bad[0]) if bad.size else 0
         raise NumericalError(f"non-finite loss (first bad batch index {idx})")
-    state = (ids, emb, inv, dec_idx, enc, dec, mu, logvar, sigma, z, ex, sumex, ws)
-    return loss, recon, kl, state
+    cache = [ids, emb, inv, dec_idx, enc, dec, mu, logvar, sigma, z, ex, sumex, ws]
+    return loss, recon, kl, cache
 
 
 def _loss_backward(p: Params, tokens: np.ndarray, beta: float, eps: np.ndarray,
-                   state) -> Params:
+                   cache: list) -> Params:
     """Gradients from ``_loss_forward``'s cache, each written into its view
     of the workspace's flat "grad" vector, which is returned as a Params;
-    the large intermediates use the workspace too."""
-    ids, emb, inv, dec_idx, enc, dec, mu, logvar, sigma, z, ex, sumex, ws = state
+    the large intermediates use the workspace too.
+
+    The pass overwrites the cache's logits and gates with their gradients,
+    so it empties the cache, and a cache already spent raises ValueError."""
+    if not cache:
+        raise ValueError("this forward pass's cache was spent by an earlier backward pass")
+    ids, emb, inv, dec_idx, enc, dec, mu, logvar, sigma, z, ex, sumex, ws = cache
+    cache.clear()
     b, t_len = tokens.shape
     cfg = p.config
     g = Params(cfg, ws.get("grad", p.flat.shape))
@@ -608,8 +637,8 @@ def elbo_loss_and_grads(p: Params, batch, beta: float, rng: np.random.Generator)
     """Like :func:`elbo_loss` but also returns d loss / d parameter."""
     tokens = _stack_batch(batch, p.config.seq_len)
     eps = rng.standard_normal((tokens.shape[0], p.config.latent_dim))
-    loss, recon, kl, state = _loss_forward(p, tokens, beta, eps)
-    return loss, recon, kl, _loss_backward(p, tokens, beta, eps, state).arrays()
+    loss, recon, kl, cache = _loss_forward(p, tokens, beta, eps)
+    return loss, recon, kl, _loss_backward(p, tokens, beta, eps, cache).arrays()
 
 
 # The order ``_loss_backward`` writes the gradients in.  The clip norm adds one
@@ -622,7 +651,7 @@ def _clip_grads(grads: Params, max_norm: float, ws: _Workspace) -> None:
     total = 0.0
     for name in _GRAD_ORDER:
         g = getattr(grads, name)
-        total += float(np.multiply(g, g, out=ws.get("square", g.shape)).sum())
+        total += float(np.multiply(g, g, out=ws.get("enc_ru", g.shape)).sum())
     norm = np.sqrt(total)
     if max_norm > 0 and norm > max_norm:
         grads.flat *= max_norm / norm
@@ -665,7 +694,7 @@ class TrainState:
         self.steps += 1
         b1c = 1.0 - self.beta1**self.steps
         b2c = 1.0 - self.beta2**self.steps
-        m, v, tmp = self.m, self.v, ws.get("adam", grad.shape)
+        m, v, tmp = self.m, self.v, ws.get("enc_ru", grad.shape)
         m *= self.beta1
         m += np.multiply(1.0 - self.beta1, grad, out=tmp)
         v *= self.beta2
@@ -720,6 +749,7 @@ def train(p: Params, corpus, cfg: TrainConfig, state: TrainState | None = None
     n_hold = max(1, min(n // 10, 256))
     hold = tokens[perm[:n_hold]]
     train_tokens = tokens[perm[n_hold:]]
+    del tokens  # both parts are copies
 
     if state.rng is not None:
         rng.bit_generator.state = state.rng
@@ -749,7 +779,7 @@ def train(p: Params, corpus, cfg: TrainConfig, state: TrainState | None = None
             losses.append(loss)
             recons.append(recon)
             kls.append(kl)
-        _, hold_sigma = encode_batch(params, hold)
+        _, hold_sigma = encode_batch(params, hold, ws)
         state.history.append(EpochStats(epoch, np.mean(losses), np.mean(recons), np.mean(kls),
                                         np.median(hold_sigma, axis=0)))
         state.epochs, state.rng, state.settings = epoch + 1, rng.bit_generator.state, settings

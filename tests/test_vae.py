@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latent_lens import vae
-from latent_lens.melody import HOLD, REST, VOCAB_SIZE, TokenSequence
+from latent_lens.corpus import SyntheticConfig, gen_musical_corpus
+from latent_lens.melody import HOLD, REST, VOCAB_SIZE, TokenSequence, tokenize
 from latent_lens.vae import (
     CheckpointError,
     ModelConfig,
@@ -413,6 +414,18 @@ def test_gradients_with_input_dropout_mask():
             assert abs(fd - gflat[i]) / max(abs(fd), abs(gflat[i]), 1e-8) < 1e-4
 
 
+def test_spent_cache_is_refused():
+    """A backward pass overwrites its cache's logits and gates with their
+    gradients, so a second one from the same cache raises."""
+    p = init_params(SMALL, 0)
+    tokens = random_tokens(np.random.default_rng(0), 4)
+    eps = np.random.default_rng(1).standard_normal((4, SMALL.latent_dim))
+    cache = vae._loss_forward(p, tokens, 0.1, eps)[3]
+    vae._loss_backward(p, tokens, 0.1, eps, cache)
+    with pytest.raises(ValueError, match="spent"):
+        vae._loss_backward(p, tokens, 0.1, eps, cache)
+
+
 # one workspace across all examples, so that a stale or unwritten buffer
 # entry left by an earlier (larger) example shows as a mismatch
 _SHARED_WS = vae._Workspace()
@@ -513,6 +526,23 @@ def test_adam_step_matches_textbook_update():
         assert np.array_equal(a, q.arrays()[k]), k
 
 
+def traced_peak(fn) -> int:
+    """The peak of the memory ``fn()`` allocates, as tracemalloc sees it
+    (numpy's data buffers included); memory held before the call is not
+    traced.  Inside ``fn``, tracemalloc.get_traced_memory() reads from the
+    same base."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def musical_batch(n=32):
+    return np.array([tuple(tokenize(m)) for m in gen_musical_corpus(SyntheticConfig(seed=7), n)])
+
+
 def _train_step(params, state, ws, batch, rng):
     """One step of ``train``'s inner loop."""
     eps = rng.standard_normal((batch.shape[0], params.config.latent_dim))
@@ -524,9 +554,12 @@ def _train_step(params, state, ws, batch, rng):
 
 
 # The largest rise of traced memory that one steady-state step may make.  It
-# measured 3.0 MB (mostly the gradients and the token tables) with the
-# workspace, and 19.4 MB when every step allocated its (T, B, .) arrays and
-# optimizer temporaries afresh.
+# measured 19.4 MB when every step allocated its (T, B, .) arrays and
+# optimizer temporaries afresh, 3.0 MB with those in the workspace but the
+# gradients and token tables fresh per step, and 0.7 MB with every array a
+# step keeps in the workspace, each phase writing over buffers whose
+# contents are dead (see vae._Workspace): what is left is (B, H)-sized
+# temporaries.
 STEP_PEAK_BOUND = 4_000_000
 
 
@@ -556,8 +589,8 @@ def test_steady_state_step_allocates_no_large_block():
         level = current
         return watch
 
-    tracemalloc.start()
-    try:
+    def watched_step():
+        nonlocal level
         level = tracemalloc.get_traced_memory()[0]
         outer = sys.gettrace()
         sys.settrace(watch)
@@ -565,22 +598,55 @@ def test_steady_state_step_allocates_no_large_block():
             _train_step(params, state, ws, batches[2], np.random.default_rng(1))
         finally:
             sys.settrace(outer)
-        start = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        _train_step(params, state, ws, batches[0], np.random.default_rng(2))
-        step_peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
+
+    traced_peak(watched_step)
+    step_peak = traced_peak(
+        lambda: _train_step(params, state, ws, batches[0], np.random.default_rng(2)))
     assert largest < 1 << 20
     assert step_peak < STEP_PEAK_BOUND
+
+
+# The most the workspace may hold after one B = 32 step of the default model
+# at 2 bars, on a batch of the musical corpus.  It measured 12.3 MiB with the
+# backward scans' gate gradients written over their gates and clipping and
+# Adam working in the encoder's gate buffer, and 17.2 MiB with a buffer each.
+WORKSPACE_2BAR_BOUND = 12.5 * 2**20
+
+
+def test_workspace_holds_no_buffer_of_a_dead_phase():
+    params = init_params(ModelConfig(), 0)
+    ws = vae._Workspace()
+    _train_step(params, vae.TrainState.fresh(params), ws, musical_batch(),
+                np.random.default_rng(1))
+    assert sum(buf.nbytes for buf in ws._buffers.values()) <= WORKSPACE_2BAR_BOUND
+
+
+def test_train_peaks_in_its_steps(monkeypatch):
+    """A whole ``train`` call's traced peak, epoch end included, exceeds the
+    peak of its steps by less than 1 MiB: the held-out encode (200 rows)
+    keeps its step buffers and token table in the training workspace."""
+    step_peaks = []
+
+    def held_out_encode(*args):
+        step_peaks.append(tracemalloc.get_traced_memory()[1])
+        return encode_batch(*args)
+
+    monkeypatch.setattr(vae, "encode_batch", held_out_encode)
+    corpus = musical_batch(2000)
+    np.median(corpus[:2], axis=0)  # its first call imports numpy.ma, not train's doing
+    peak = traced_peak(lambda: train(init_params(ModelConfig(), 0), corpus, TrainConfig(1)))
+    assert len(step_peaks) == 1
+    assert peak - step_peaks[0] < 1 << 20
 
 
 # The largest traced memory one B = 32 step of the default model may reach at
 # 16 bars (seq_len 256), workspace included.  It measured 171.5 MiB when the
 # training pass copied every step's gate inputs and output gradients into
-# (T, B, .) arrays, and 115.7 MiB with the gate inputs gathered a few steps
-# at a time and the output gradients computed step by step.
-STEP_16BAR_PEAK_BOUND = 130 << 20
+# (T, B, .) arrays, 115.7 MiB with the gate inputs gathered a few steps at a
+# time and the output gradients computed step by step (117.1 MiB measured
+# again later), and 91.7 MiB with the backward scans' gate gradients written
+# over their gates and clipping and Adam working in the encoder's gate buffer.
+STEP_16BAR_PEAK_BOUND = 100 << 20
 
 
 def test_16bar_step_memory_follows_the_batch():
@@ -590,13 +656,8 @@ def test_16bar_step_memory_follows_the_batch():
     params = init_params(ModelConfig(seq_len=256), 0)
     state = vae.TrainState.fresh(params)
     batch = random_tokens(np.random.default_rng(0), 32, seq_len=256)
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        _train_step(params, state, vae._Workspace(), batch, np.random.default_rng(1))
-        step_peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
+    step_peak = traced_peak(
+        lambda: _train_step(params, state, vae._Workspace(), batch, np.random.default_rng(1)))
     assert step_peak < STEP_16BAR_PEAK_BOUND
 
 
