@@ -296,7 +296,7 @@ def cmd_train(args) -> int:
     if args.resume:
         try:
             settings = vae.resume_settings(
-                {**dataclasses.asdict(params.config), **(state.settings or {})}, settings)
+                {**dataclasses.asdict(params.config), **state.settings}, settings)
         except ValueError as err:
             raise CliInputError(str(err))
     vars(args).update({f.name: settings.get(f.name, f.default) for f in _RUN_SETTINGS})
@@ -307,24 +307,28 @@ def cmd_train(args) -> int:
     tcfg = _config(vae.TrainConfig, args)
     if params is None:
         params = vae.init_params(_config(vae.ModelConfig, args, seq_len=seq_len), args.seed)
-        state = vae.TrainState.fresh(params)
+        state = vae.TrainState.fresh(params, tcfg)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    history_path = out_dir / "history.csv"
-    ckpt_path = out_dir / "checkpoint.npz"
+    ckpt_path, history_path = out_dir / "checkpoint.npz", out_dir / "history.csv"
+
+    def save(params, state):  # after every epoch, so a run that stops keeps the last
+        watch.lap("train")
+        vae.save_checkpoint(params, ckpt_path, state)
+        report.write_text_atomic(history_path, "epoch,loss,recon_ce,kl\n" + "".join(
+            f"{r.epoch},{r.loss:.10g},{r.recon_ce:.10g},{r.kl:.10g}\n" for r in state.history))
+        watch.lap("write")
+
+    save(params, state)  # the start, which a run failing in its first epoch keeps
+    seqs = [seq for seq, _ in kept]
     try:
-        params, _ = vae.train(params, [seq for seq, _ in kept], tcfg, state)
+        for _ in range(tcfg.epochs):
+            params, _ = vae.train(params, seqs, dataclasses.replace(tcfg, epochs=1), state)
+            save(params, state)
     except vae.TrainingDiverged as err:
-        params, state = err.params, err.state
         manifest.error = f"training diverged: {err}"
     watch.lap("train")
-
-    vae.save_checkpoint(params, ckpt_path, state)
-    history_text = "epoch,loss,recon_ce,kl\n" + "".join(
-        f"{row.epoch},{row.loss:.10g},{row.recon_ce:.10g},{row.kl:.10g}\n" for row in state.history)
-    report.write_text_atomic(history_path, history_text)
-    watch.lap("write")
     manifest.add_output(str(ckpt_path))
     manifest.add_output(str(history_path))
     manifest.timings_s = watch.laps

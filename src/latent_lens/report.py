@@ -112,5 +112,5 @@ class Stopwatch:
 
     def lap(self, name: str) -> None:
         now = time.perf_counter()
-        self.laps[name] = round(now - self._t0, 4)
+        self.laps[name] = round(self.laps.get(name, 0.0) + now - self._t0, 4)
         self._t0 = now

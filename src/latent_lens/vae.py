@@ -40,12 +40,10 @@ gate gradients over the gates it has read, and the logits become their
 gradient.  The scans gather their gate inputs from token tables a few steps
 at a time (``_GATHER_BYTES``), and the backward decoder scan computes each
 step's output gradient in the step, so neither is held for the whole
-sequence: at B = 32 with the default model, on a batch of the musical
-corpus, the workspace holds 12.3 MiB at 2 bars and 84.7 MiB at 16 bars.
-Clipping, Adam and ``encode_batch`` keep their scratch in buffers that are
-dead while they run (see ``_Workspace``).  ``train`` makes one per run, so
-every step after the first, and every epoch's held-out encode, writes into
-memory the run already holds instead of mapping fresh pages; the public
+sequence.  Clipping, Adam and ``encode_batch`` keep their scratch in
+buffers that are dead while they run (see ``_Workspace``).  ``train`` makes
+one per call, so every step after the first, and every epoch's held-out
+encode, writes into memory the call already holds; the public
 ``elbo_loss``, ``elbo_loss_and_grads`` and ``encode_batch`` make one per
 call, and nothing they return aliases a buffer another call writes.  The
 gathers use ``np.take(..., mode="clip", out=...)``: with the default
@@ -56,11 +54,11 @@ table rows made here, always in range.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
+import os
 import zipfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -84,13 +82,7 @@ class CheckpointError(ValueError):
 
 
 class TrainingDiverged(RuntimeError):
-    """Training hit a non-finite loss; carries the last completed epoch's state."""
-
-    def __init__(self, message: str, params: "Params", state: "TrainState", history: list):
-        super().__init__(message)
-        self.params = params
-        self.state = state
-        self.history = history
+    """Training hit a non-finite loss or posterior sigma; the message names the epoch."""
 
 
 @dataclass(frozen=True)
@@ -186,6 +178,11 @@ class TrainConfig:
     input_dropout: float = 0.3
 
     def __post_init__(self) -> None:
+        for f in fields(self):  # each stored as its type; a float field takes an int too
+            value, kind = getattr(self, f.name), {"int": int, "float": float}[f.type]
+            if isinstance(value, bool) or not isinstance(value, (int, kind)):
+                raise TypeError(f"{f.name} must be {f.type}, got {value!r}")
+            object.__setattr__(self, f.name, kind(value))
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if not all(map(math.isfinite, (self.lr, self.beta_max, self.grad_clip_norm))):
@@ -206,7 +203,6 @@ class TrainConfig:
 
 # The stored settings a resumed run may change (a lower rate after a divergence).
 RESUME_MAY_CHANGE = ("lr",)
-_SETTING_TYPES = {name: type(value).__name__ for name, value in TrainConfig(1).settings().items()}
 
 
 def resume_settings(stored: dict, given: dict) -> dict:
@@ -668,7 +664,7 @@ class TrainState:
     steps: int
     epochs: int
     rng: dict | None
-    settings: dict | None
+    settings: dict
     history: list[EpochStats]
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -678,16 +674,16 @@ class TrainState:
             raise ValueError("training state counts must be integers >= 0")
         if self.rng is not None:
             np.random.PCG64().state = self.rng  # rejects a malformed generator state
-        if self.epochs or self.settings is not None:  # every field, of its default's type
-            TrainConfig(1, **self.settings)  # rejects an unknown field or a bad value
-            if {k: type(v).__name__ for k, v in self.settings.items()} != _SETTING_TYPES:
-                raise ValueError(f"training settings must have the types {_SETTING_TYPES}")
+        settings = TrainConfig(1, **self.settings).settings()  # rejects a bad name, type or value
+        if settings.keys() != self.settings.keys():
+            raise ValueError(f"training settings must name {', '.join(settings)}")
+        self.settings = settings
         if [row.epoch for row in self.history] != list(range(self.epochs)):
             raise ValueError("training history must hold one row per epoch done")
 
     @classmethod
-    def fresh(cls, p: Params) -> "TrainState":
-        return cls(np.zeros_like(p.flat), np.zeros_like(p.flat), 0, 0, None, None, [])
+    def fresh(cls, p: Params, cfg: TrainConfig) -> "TrainState":
+        return cls(np.zeros_like(p.flat), np.zeros_like(p.flat), 0, 0, None, cfg.settings(), [])
 
     def adam_step(self, params: Params, grad: np.ndarray, lr: float, ws: _Workspace) -> None:
         """Count a step; update ``params`` from the flat ``grad``, which ends holding the update."""
@@ -733,13 +729,13 @@ def train(p: Params, corpus, cfg: TrainConfig, state: TrainState | None = None
     hold the state's settings, as :func:`resume_settings` checks.
     Deterministic for a fixed seed and a fixed BLAS thread count: the
     ``out_w`` gradient's sum over every position rounds differently when
-    BLAS splits it across threads.  On divergence raises
-    :class:`TrainingDiverged` carrying the weights, state and rows of this
-    call's last completed epoch.
+    BLAS splits it across threads.  A non-finite loss, or a held-out sigma
+    out of float range, raises :class:`TrainingDiverged` naming the epoch,
+    with ``state`` advanced into it: its steps and moments, not its epochs.
     """
     params = p.copy()
-    state = TrainState.fresh(params) if state is None else state
-    settings = resume_settings(state.settings or {}, cfg.settings())
+    state = TrainState.fresh(params, cfg) if state is None else state
+    settings = resume_settings(state.settings, cfg.settings())
     tokens = _stack_batch(corpus, p.config.seq_len)
     n = tokens.shape[0]
     if n < 2:
@@ -753,45 +749,42 @@ def train(p: Params, corpus, cfg: TrainConfig, state: TrainState | None = None
 
     if state.rng is not None:
         rng.bit_generator.state = state.rng
-    state.settings = state.settings or settings  # kept even if the first epoch diverges
     ws = _Workspace()
     start = state.epochs
-    last_good = params.copy(), copy.deepcopy(state)
     for epoch in range(start, start + cfg.epochs):
         order = rng.permutation(train_tokens.shape[0])
         losses, recons, kls = [], [], []
-        for lo in range(0, order.size, cfg.batch):
-            batch = train_tokens[order[lo : lo + cfg.batch]]
-            ramp = cfg.beta_max * min(1.0, state.steps / cfg.beta_anneal_steps)
-            beta = ramp / params.config.seq_len
-            eps = rng.standard_normal((batch.shape[0], params.config.latent_dim))
-            keep = None
-            if cfg.input_dropout > 0.0:
-                keep = rng.random(batch.shape) >= cfg.input_dropout
-            try:
+        try:
+            for lo in range(0, order.size, cfg.batch):
+                batch = train_tokens[order[lo : lo + cfg.batch]]
+                ramp = cfg.beta_max * min(1.0, state.steps / cfg.beta_anneal_steps)
+                beta = ramp / params.config.seq_len
+                eps = rng.standard_normal((batch.shape[0], params.config.latent_dim))
+                keep = None
+                if cfg.input_dropout > 0.0:
+                    keep = rng.random(batch.shape) >= cfg.input_dropout
                 loss, recon, kl, cache = _loss_forward(params, batch, beta, eps, keep, ws)
-            except NumericalError as err:
-                raise TrainingDiverged(f"epoch {epoch}: {err}", *last_good,
-                                       last_good[1].history[start:]) from err
-            grads = _loss_backward(params, batch, beta, eps, cache)
-            _clip_grads(grads, cfg.grad_clip_norm, ws)
-            state.adam_step(params, grads.flat, cfg.lr, ws)
-            losses.append(loss)
-            recons.append(recon)
-            kls.append(kl)
-        _, hold_sigma = encode_batch(params, hold, ws)
+                grads = _loss_backward(params, batch, beta, eps, cache)
+                _clip_grads(grads, cfg.grad_clip_norm, ws)
+                state.adam_step(params, grads.flat, cfg.lr, ws)
+                losses.append(loss)
+                recons.append(recon)
+                kls.append(kl)
+            _, hold_sigma = encode_batch(params, hold, ws)
+        except NumericalError as err:
+            raise TrainingDiverged(f"epoch {epoch}: {err}") from err
         state.history.append(EpochStats(epoch, np.mean(losses), np.mean(recons), np.mean(kls),
                                         np.median(hold_sigma, axis=0)))
         state.epochs, state.rng, state.settings = epoch + 1, rng.bit_generator.state, settings
-        del last_good  # so that only one copy is held at a time
-        last_good = params.copy(), copy.deepcopy(state)
     return params, state.history[start:]
 
 
 def save_checkpoint(p: Params, path, state: TrainState | None = None) -> None:
     """Versioned container: JSON metadata plus the raw float64 weight arrays;
     given a training state, also its moments as members ``adam_m`` and
-    ``adam_v`` and the rest under the metadata's "train" key."""
+    ``adam_v`` and the rest under the metadata's "train" key.  Written to
+    ``<path>.tmp`` and renamed over ``path``, so a write that fails leaves
+    the file at ``path`` as it was."""
     p.validate()
     meta = {
         "magic": CHECKPOINT_MAGIC,
@@ -806,8 +799,10 @@ def save_checkpoint(p: Params, path, state: TrainState | None = None) -> None:
                          "settings": state.settings, "history": history}
         arrays.update(adam_m=state.m, adam_v=state.v)
     arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8).copy()
-    with open(path, "wb") as fh:
+    tmp = os.fspath(path) + ".tmp"
+    with open(tmp, "wb") as fh:
         np.savez(fh, **arrays)
+    os.replace(tmp, path)
 
 
 def load_checkpoint(path, with_state: bool = False):

@@ -232,6 +232,27 @@ def test_train_divergence_keeps_checkpoint_and_manifest(tmp_path):
     assert sorted(manifest["outputs"]) == [str(out / "checkpoint.npz"), str(out / "history.csv")]
 
 
+def test_epoch_end_overflow_keeps_the_start(tmp_path, caplog):
+    """A run whose first epoch ends with a held-out sigma out of float range
+    exits 2 and keeps its start: the checkpoint before any step, with the
+    run's settings, and a history of no epoch."""
+    corpus_path = tmp_path / "corpus.jsonl"
+    assert run("gen", "--kind", "musical", "--n", "64", "--seed", "3",
+               "--out", str(corpus_path)) == 0
+    out = tmp_path / "model"
+    assert run("train", "--corpus", str(corpus_path), "--out-dir", str(out), "--epochs", "2",
+               "--embed-dim", "8", "--hidden-dim", "12", "--latent-dim", "6", "--lr", "1e3",
+               "--batch", "64", "--seed", "0") == 2
+    params, state = vae.load_checkpoint(out / "checkpoint.npz", with_state=True)
+    assert np.array_equal(params.flat, vae.init_params(params.config, 0).flat)
+    assert (state.steps, state.epochs, state.settings["lr"], state.settings["batch"]) == (
+        0, 0, 1e3, 64)
+    assert (out / "history.csv").read_text() == "epoch,loss,recon_ce,kl\n"
+    error = json.loads((out / "manifest.json").read_text())["error"]
+    assert error.startswith("training diverged: epoch 0: posterior sigma out of float range")
+    assert caplog.messages[-1] == f"{error} (last good checkpoint kept)"
+
+
 def test_train_resume_continues_epochs(tiny_run, tmp_path, caplog):
     """A resume into a new directory writes the run's whole history, and
     takes the run's settings from the checkpoint: a flag left at its default
@@ -320,6 +341,36 @@ def test_train_then_resume_equals_one_run(tiny_run, tmp_path):
     assert run(*train, str(split), "--epochs", "1", "--resume", str(one_epoch)) == 0
     rows = (straight / "history.csv").read_text().splitlines(True)
     assert (split / "history.csv").read_text() == "".join(rows[:3])  # epochs 0 and 1
+
+
+def test_interrupted_run_resumes_from_its_last_completed_epoch(tiny_run, tmp_path,
+                                                             monkeypatch):
+    """A run stopped at the first step of its third epoch leaves the
+    checkpoint and history of a two-epoch run, and a resume for one more
+    epoch writes those of three epochs straight through."""
+    _, corpus_path, _, _, _ = tiny_run
+    straight2, straight3, split = tmp_path / "two", tmp_path / "three", tmp_path / "split"
+    train = ["train", "--corpus", str(corpus_path), *TINY_TRAIN, "--out-dir"]
+    assert run(*train, str(straight2), "--epochs", "2") == 0
+    assert run(*train, str(straight3), "--epochs", "3") == 0
+    loss_forward, calls = vae._loss_forward, []
+
+    def interrupted_in_epoch_3(*args):
+        calls.append(None)
+        if len(calls) == 9:  # 4 steps an epoch
+            raise KeyboardInterrupt
+        return loss_forward(*args)
+
+    monkeypatch.setattr(vae, "_loss_forward", interrupted_in_epoch_3)
+    with pytest.raises(KeyboardInterrupt):
+        run(*train, str(split), "--epochs", "3")
+    monkeypatch.undo()
+    for name in ("checkpoint.npz", "history.csv"):
+        assert (split / name).read_bytes() == (straight2 / name).read_bytes(), name
+    assert run("train", "--corpus", str(corpus_path), "--out-dir", str(split), "--epochs", "1",
+               "--resume", str(split / "checkpoint.npz")) == 0
+    for name in ("checkpoint.npz", "history.csv"):
+        assert (split / name).read_bytes() == (straight3 / name).read_bytes(), name
 
 
 def test_diverged_run_resumes_at_a_lower_lr(tiny_run, tmp_path):
