@@ -2,8 +2,10 @@
 
 Every command reads flags (optionally seeded from a flat key=value config
 file; explicit flags win), writes its outputs into a run directory without
-touching its inputs, and finishes by writing a manifest that makes the run
-reproducible.  Exit codes: 0 success, 1 input error, 2 numerical failure.
+touching its inputs, and writes a manifest that makes the run reproducible:
+at its end, or for ``train`` with the checkpoint and history before the
+first epoch and after each one.  Exit codes: 0 success, 1 input error,
+2 numerical failure.
 """
 
 from __future__ import annotations
@@ -312,6 +314,8 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_path, history_path = out_dir / "checkpoint.npz", out_dir / "history.csv"
+    manifest.outputs = [str(ckpt_path), str(history_path)]
+    manifest.timings_s = watch.laps
 
     def save(params, state):  # after every epoch, so a run that stops keeps the last
         watch.lap("train")
@@ -319,6 +323,7 @@ def cmd_train(args) -> int:
         report.write_text_atomic(history_path, "epoch,loss,recon_ce,kl\n" + "".join(
             f"{r.epoch},{r.loss:.10g},{r.recon_ce:.10g},{r.kl:.10g}\n" for r in state.history))
         watch.lap("write")
+        manifest.write(out_dir / "manifest.json")
 
     save(params, state)  # the start, which a run failing in its first epoch keeps
     seqs = [seq for seq, _ in kept]
@@ -327,13 +332,9 @@ def cmd_train(args) -> int:
             params, _ = vae.train(params, seqs, dataclasses.replace(tcfg, epochs=1), state)
             save(params, state)
     except vae.TrainingDiverged as err:
+        watch.lap("train")
         manifest.error = f"training diverged: {err}"
-    watch.lap("train")
-    manifest.add_output(str(ckpt_path))
-    manifest.add_output(str(history_path))
-    manifest.timings_s = watch.laps
-    manifest.write(out_dir / "manifest.json")
-    if manifest.error:
+        manifest.write(out_dir / "manifest.json")
         log.error("%s (last good checkpoint kept)", manifest.error)
         return 2
     log.info("final loss %(loss).4f (recon %(recon_ce).4f, kl %(kl).4f)", vars(state.history[-1]))
@@ -469,6 +470,8 @@ def cmd_roundtrip(args) -> int:
     [(seq, tempo)], _ = _keep_model_length(entries, params.config.seq_len, args.melody)
     if args.k < 0:
         raise CliInputError("-k must be >= 0")
+    if args.seed < 0:
+        raise CliInputError("--seed must be >= 0")
 
     mu, sigma = vae.encode(params, seq)
     draws = mu + sigma * np.random.default_rng(args.seed).standard_normal((args.k, mu.size))

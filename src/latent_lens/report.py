@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-TOOL_VERSION = "0.1.0"
+from . import __version__
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
@@ -66,7 +66,6 @@ def sha256_file(path: str | Path) -> str:
 class RunManifest:
     command: str
     config: dict
-    tool_version: str = TOOL_VERSION
     input_hashes: dict = field(default_factory=dict)
     outputs: list = field(default_factory=list)
     timings_s: dict = field(default_factory=dict)
@@ -86,7 +85,7 @@ class RunManifest:
     def write(self, path: str | Path) -> None:
         peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
         payload = {
-            "tool_version": self.tool_version,
+            "tool_version": __version__,
             "command": self.command,
             "config": self.config,
             "input_hashes": self.input_hashes,

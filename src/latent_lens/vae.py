@@ -193,6 +193,8 @@ class TrainConfig:
             raise ValueError("beta_max must be >= 0")
         if self.batch < 1 or self.beta_anneal_steps < 1:
             raise ValueError("batch and beta_anneal_steps must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not 0.0 <= self.input_dropout < 1.0:
             raise ValueError("input_dropout must lie in [0, 1)")
 
@@ -821,6 +823,9 @@ def load_checkpoint(path, with_state: bool = False):
                 raise CheckpointError("bad checkpoint magic")
             if meta.get("version") != CHECKPOINT_VERSION:
                 raise CheckpointError(f"unsupported version {meta.get('version')}")
+            if meta.get("cell") != CELL_TYPE:
+                raise CheckpointError(f"checkpoint metadata names cell {meta.get('cell')!r}, "
+                                      f"not {CELL_TYPE!r}")
             params = Params(ModelConfig(**meta["config"]))
             members = {f"param_{name}": view for name, view in params.arrays().items()}
             if with_state:

@@ -346,8 +346,9 @@ def test_train_then_resume_equals_one_run(tiny_run, tmp_path):
 def test_interrupted_run_resumes_from_its_last_completed_epoch(tiny_run, tmp_path,
                                                              monkeypatch):
     """A run stopped at the first step of its third epoch leaves the
-    checkpoint and history of a two-epoch run, and a resume for one more
-    epoch writes those of three epochs straight through."""
+    checkpoint and history of a two-epoch run and a manifest that lists
+    them, and a resume for one more epoch writes those of three epochs
+    straight through."""
     _, corpus_path, _, _, _ = tiny_run
     straight2, straight3, split = tmp_path / "two", tmp_path / "three", tmp_path / "split"
     train = ["train", "--corpus", str(corpus_path), *TINY_TRAIN, "--out-dir"]
@@ -367,6 +368,11 @@ def test_interrupted_run_resumes_from_its_last_completed_epoch(tiny_run, tmp_pat
     monkeypatch.undo()
     for name in ("checkpoint.npz", "history.csv"):
         assert (split / name).read_bytes() == (straight2 / name).read_bytes(), name
+    manifest = json.loads((split / "manifest.json").read_text())
+    assert "error" not in manifest
+    assert manifest["input_hashes"] == {str(corpus_path): report.sha256_file(corpus_path)}
+    assert manifest["outputs"] == sorted(str(split / name)
+                                         for name in ("checkpoint.npz", "history.csv"))
     assert run("train", "--corpus", str(corpus_path), "--out-dir", str(split), "--epochs", "1",
                "--resume", str(split / "checkpoint.npz")) == 0
     for name in ("checkpoint.npz", "history.csv"):
@@ -490,12 +496,14 @@ def test_train_counts_sequences_of_another_length(tiny_run, tmp_path):
     ("train", "--beta-max", "inf"),
     ("train", "--lr", "inf"),
     ("train", "--grad-clip-norm", "nan"),
+    ("train", "--seed", "-1"),
     ("ingest", "--max-per-file", "0"),
     ("ingest", "--min-notes", "0"),
     ("analyze", "--phik-bins", "1"),
     ("analyze", "--lowess-frac", "0"),
     ("analyze", "--sigma-threshold", "nan"),
     ("analyze", "--activation-threshold", "nan"),
+    ("roundtrip", "--seed", "-3"),
 ])
 def test_invalid_flag_value_is_input_error(tiny_run, tmp_path, caplog, command, flag, value):
     _, corpus_path, _, train_dir, _ = tiny_run
@@ -505,8 +513,11 @@ def test_invalid_flag_value_is_input_error(tiny_run, tmp_path, caplog, command, 
         "ingest": ["ingest", tmp_path, out],
         "analyze": ["analyze", "--checkpoint", train_dir / "checkpoint.npz",
                     "--corpus", corpus_path, "--out-dir", out],
+        "roundtrip": ["roundtrip", "--checkpoint", train_dir / "checkpoint.npz",
+                      "--melody", tmp_path / "one.jsonl", "--out-dir", out],
     }[command]
     (tmp_path / "scale.mid").write_bytes(scale_file())  # what ingest would read
+    (tmp_path / "one.jsonl").write_text(corpus_path.read_text().splitlines()[0] + "\n")
     assert run(*map(str, argv), flag, value) == 1
     assert caplog.records[-1].levelname == "ERROR"
     assert not out.exists()

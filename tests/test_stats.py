@@ -1,6 +1,7 @@
 import inspect
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from unittest import mock
@@ -231,6 +232,22 @@ def test_import_leaves_scipy_optimize_unloaded():
 
 def test_cli_import_leaves_scipy_special_unloaded():
     assert _loaded_after_import("latent_lens.cli", "scipy.special", "scipy.optimize") == []
+
+
+def _package_modules() -> list[str]:
+    import latent_lens
+
+    return sorted(f"latent_lens.{m.name}" for m in pkgutil.iter_modules(latent_lens.__path__))
+
+
+def test_package_import_loads_no_module():
+    """The package namespace holds only ``__version__``: callers import modules."""
+    assert _loaded_after_import("latent_lens", *_package_modules()) == []
+
+
+def test_midi_import_loads_melody_and_midi_only():
+    loaded = _loaded_after_import("latent_lens.midi", *_package_modules())
+    assert loaded == ["latent_lens.melody", "latent_lens.midi"]
 
 
 # ---------------------------------------------------------------- phik

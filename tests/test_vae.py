@@ -852,6 +852,7 @@ BAD_METADATA = {
                            False),
     "config_list": (lambda meta: {**meta, "config": [32, 64]}, False),
     "meta_list": (lambda meta: [meta], False),
+    "cell_other": (lambda meta: {**meta, "cell": "lstm"}, False),
     "train_list": (lambda meta: {**meta, "train": [0, 0, None]}, True),
     "train_key_missing": (lambda meta: {**meta, "train": {"steps": 0, "epochs": 0}}, True),
     "train_key_unknown": (lambda meta: _with_train(meta, lr=0.1), True),
